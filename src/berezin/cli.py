@@ -6,9 +6,8 @@ kernels of the worked Hamiltonians with pairwise errors), ``converge``
 ``moments`` (low-order path moments).  Options may also be supplied as a
 JSON config file; explicit flags win.  Reports are deterministic for a
 fixed configuration, except for the timestamp field of JSON reports.
-Suite exit status is nonzero when any checked tolerance fails.  The
-environment variable BEREZIN_THREADS sets the worker count for multi-grid
-runs; nothing else is read from the environment.
+Suite exit status is nonzero when any checked tolerance fails.  No
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -18,27 +17,30 @@ import csv
 import datetime
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import ONE, element_to_json, gen
+from .algebra import element_to_json, gen
 from .feynman_kac import (
     EXAMPLE_NAMES,
-    OperatorMatrix,
     closed_form_kernel,
-    element_coordinates,
     example_hamiltonian,
     fk_evolve,
+    fk_operator,
     kernel_extract,
-    monomial_basis,
     oracle_kernel,
     state_variables,
 )
-from .verify import SUITE_NAMES, ratio_deviation, run_suite, RATIO_SLACK
+from .verify import (
+    SUITE_NAMES,
+    RATIO_SLACK,
+    ou_second_moment,
+    ratio_deviation,
+    richardson,
+    run_suite,
+)
 from .wiener import Partition, WienerSpace, brownian_moment_rows
 
 PARAM_KEYS = ("t", "r", "c", "b", "lam")
@@ -46,21 +48,6 @@ PARAM_KEYS = ("t", "r", "c", "b", "lam")
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BEREZIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(tasks: Sequence[Callable], jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -142,25 +129,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- kernel ---------------------------------------------------------------
 
 
-def _fk_operator(name: str, params: dict, steps: int) -> OperatorMatrix:
-    h = example_hamiltonian(name, r=params["r"], c=params["c"], b=params["b"], lam=params["lam"])
-    partition = Partition.uniform(params["t"], steps)
-    basis = monomial_basis(2)
-    variables = state_variables(2)
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, subset in enumerate(basis):
-        image = fk_evolve(h, _basis_element(variables, subset), partition)
-        matrix[:, col] = element_coordinates(image, variables, basis)
-    return OperatorMatrix(matrix, variables, basis)
-
-
-def _basis_element(variables, subset):
-    out = ONE
-    for i in subset:
-        out = out * gen(variables[i])
-    return out
-
-
 def cmd_kernel(args: argparse.Namespace) -> int:
     keys = ("hamiltonian", "n", "tol", "format", "out") + PARAM_KEYS
     defaults = {"t": 1.0, "r": 1.0, "c": 1.0, "b": 1.0, "lam": 0.0, "n": "16", "tol": 1e-9, "format": "json"}
@@ -175,9 +143,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     closed = closed_form_kernel(
         name, params["t"], r=params["r"], c=params["c"], b=params["b"], lam=params["lam"]
     )
-    jobs = _jobs()
-    fk_ops = _map_ordered([lambda n=n: _fk_operator(name, params, n) for n in grids], jobs)
-    fk_kernels = [kernel_extract(op) for op in fk_ops]
+    fk_kernels = [kernel_extract(fk_operator(h, Partition.uniform(params["t"], n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]
     oracle_vs_closed = float((oracle.body - closed.body).norm())
@@ -258,22 +224,11 @@ QUANTITIES = ("ou_xx", "oscillator_c0", "flat_c0", "quartic_xx")
 
 
 def _tracked_value(quantity: str, params: dict, steps: int) -> complex:
-    t = params["t"]
-    partition = Partition.uniform(t, steps)
+    partition = Partition.uniform(params["t"], steps)
+    if quantity == "ou_xx":
+        return ou_second_moment(params["r"], params["c"], partition)[0]
     variables = state_variables(2)
     top = gen(variables[0]) * gen(variables[1])
-    if quantity == "ou_xx":
-        from .algebra import ZERO
-        from .stochastic import picard_solve
-        from .verify import ou_drift_spec
-        from .wiener import BrownianMotion
-
-        spec = ou_drift_spec(params["r"], params["c"], (ZERO, ZERO))
-        space = WienerSpace(2)
-        solution = picard_solve(spec, space, partition).process
-        motion = BrownianMotion(space, partition)
-        value = motion.expect(solution.final[0] * solution.final[1])
-        return complex(value)
     h = example_hamiltonian(
         {"oscillator_c0": "oscillator", "flat_c0": "flat", "quartic_xx": "quartic"}[quantity],
         r=params["r"],
@@ -297,10 +252,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     params = {k: float(options[k]) for k in PARAM_KEYS}
     grids = _parse_grid_list(str(options["n"]))
 
-    values = _map_ordered(
-        [lambda n=n: _tracked_value(quantity, params, n) for n in grids], _jobs()
-    )
-    extrapolate = 2 * values[-1] - values[-2] if len(values) > 1 else values[-1]
+    values = [_tracked_value(quantity, params, n) for n in grids]
+    extrapolate = richardson(values)
     rows = [
         (n, params["t"] / n, quantity, v.real, v.imag, abs(v - extrapolate))
         for n, v in zip(grids, values)

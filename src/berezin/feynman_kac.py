@@ -23,7 +23,7 @@ that gap rather than patch it (see ``verify.feynman_kac_suite``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,12 +49,15 @@ __all__ = [
     "state_variables",
     "kernel_variables",
     "apply_hamiltonian",
+    "basis_elements",
+    "operator_matrix",
     "hamiltonian_matrix",
     "semigroup_oracle",
     "matrix_apply",
     "element_coordinates",
     "element_from_coordinates",
     "fk_evolve",
+    "fk_operator",
     "fk_bruteforce",
     "kernel_extract",
     "oracle_kernel",
@@ -112,15 +115,7 @@ class HamiltonianSpec:
 
     def second_order_coefficient(self, k: int, j: int, space: WienerSpace) -> GrassmannElement:
         """g^{kj} = e^{ab} c^k_b c^j_a, 0-based k and j."""
-        out = ZERO
-        for a in range(1, self.m + 1):
-            for b in range(1, self.m + 1):
-                e = space.eps(a, b)
-                if e:
-                    out = out + e * (
-                        self.diffusion_fields[k][b - 1] * self.diffusion_fields[j][a - 1]
-                    )
-        return out
+        return space.contract(self.diffusion_fields[k], self.diffusion_fields[j])
 
 
 def apply_hamiltonian(h: HamiltonianSpec, f: GrassmannElement) -> GrassmannElement:
@@ -161,10 +156,6 @@ class OperatorMatrix:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def basis_monomial(self, position: int) -> GrassmannElement:
-        gens = tuple(self.variables[i] for i in self.basis[position])
-        return GrassmannElement.from_monomial(gens)
-
 
 def monomial_basis(n: int) -> tuple[tuple[int, ...], ...]:
     subsets = [
@@ -172,6 +163,14 @@ def monomial_basis(n: int) -> tuple[tuple[int, ...], ...]:
     ]
     subsets.sort(key=lambda s: (len(s), s))
     return tuple(subsets)
+
+
+def basis_elements(variables: Sequence[GeneratorId]) -> list[GrassmannElement]:
+    """The monomials of ``variables`` in ``monomial_basis`` order."""
+    return [
+        GrassmannElement.from_monomial(tuple(variables[i] for i in subset))
+        for subset in monomial_basis(len(variables))
+    ]
 
 
 def element_coordinates(
@@ -201,16 +200,20 @@ def element_from_coordinates(
     return GrassmannElement(terms)
 
 
+def operator_matrix(
+    apply: Callable[[GrassmannElement], GrassmannElement], variables: Sequence[GeneratorId]
+) -> OperatorMatrix:
+    """Matrix of a linear map on functions of ``variables``, one column per basis monomial."""
+    variables = tuple(variables)
+    basis = monomial_basis(len(variables))
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, f in enumerate(basis_elements(variables)):
+        matrix[:, col] = element_coordinates(apply(f), variables, basis)
+    return OperatorMatrix(matrix, variables, basis)
+
+
 def hamiltonian_matrix(h: HamiltonianSpec) -> OperatorMatrix:
-    basis = monomial_basis(h.n)
-    dim = len(basis)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for col, subset in enumerate(basis):
-        image = apply_hamiltonian(
-            h, GrassmannElement.from_monomial(tuple(h.variables[i] for i in subset))
-        )
-        matrix[:, col] = element_coordinates(image, h.variables, basis)
-    return OperatorMatrix(matrix, h.variables, basis)
+    return operator_matrix(lambda f: apply_hamiltonian(h, f), h.variables)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -249,7 +252,6 @@ def matrix_apply(op: OperatorMatrix, f: GrassmannElement) -> GrassmannElement:
 
 
 def _euler_state(
-    h: HamiltonianSpec,
     current: Sequence[GrassmannElement],
     drift_vals: Sequence[GrassmannElement],
     diffusion_vals: Sequence[Sequence[GrassmannElement]],
@@ -257,10 +259,8 @@ def _euler_state(
     dt: float,
 ) -> tuple[GrassmannElement, ...]:
     return tuple(
-        current[j]
-        - (1j * dt) * drift_vals[j]
-        + sum((increments[a] * diffusion_vals[j][a] for a in range(h.m)), start=ZERO)
-        for j in range(h.n)
+        x - (1j * dt) * a + WienerSpace.noise(increments, row)
+        for x, a, row in zip(current, drift_vals, diffusion_vals)
     )
 
 
@@ -280,12 +280,17 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     current = f
     for r in range(partition.steps, 0, -1):
         dt = partition.delta(r)
-        stepped = _euler_state(h, symbols, h.drift_fields, h.diffusion_fields, increments, dt)
+        stepped = _euler_state(symbols, h.drift_fields, h.diffusion_fields, increments, dt)
         moved = substitute(current, dict(zip(h.variables, stepped)))
         weight = grassmann_exp(-dt * h.potential)
         density = heat_kernel(ids, dt).body
         current = berezin_integrate(density * (weight * moved), ids)
     return current
+
+
+def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
+    """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis."""
+    return operator_matrix(lambda f: fk_evolve(h, f, partition), h.variables)
 
 
 def fk_bruteforce(
@@ -303,9 +308,7 @@ def fk_bruteforce(
         weight = weight * grassmann_exp(-dt * substitute(h.potential, here))
         drift_vals = [substitute(a, here) for a in h.drift_fields]
         diffusion_vals = [[substitute(c, here) for c in row] for row in h.diffusion_fields]
-        state = _euler_state(
-            h, state, drift_vals, diffusion_vals, space.increment_elements(r), dt
-        )
+        state = _euler_state(state, drift_vals, diffusion_vals, space.increment_elements(r), dt)
     functional = weight * substitute(f, dict(zip(h.variables, state)))
     return BrownianMotion(space, partition).expect_element(functional)
 

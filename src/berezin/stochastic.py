@@ -142,10 +142,7 @@ def ito_integral(c: AdaptedMatrix) -> AdaptedProcess:
     for r in range(1, partition.steps + 1):
         increments = space.increment_elements(r)
         prev = c.values[r - 1]
-        acc = tuple(
-            a + sum((increments[b] * prev[i][b] for b in range(space.m)), start=ZERO)
-            for i, a in enumerate(acc)
-        )
+        acc = tuple(a + space.noise(increments, row) for a, row in zip(acc, prev))
         out.append(acc)
     return AdaptedProcess(space, partition, tuple(out))
 
@@ -176,12 +173,7 @@ def isometry_residual(c: AdaptedMatrix, i: int, j: int) -> float:
     rhs = ZERO
     for r in range(1, partition.steps + 1):
         prev = c.values[r - 1]
-        step = ZERO
-        for a in range(1, space.m + 1):
-            for b in range(1, space.m + 1):
-                e = space.eps(b, a)
-                if e:
-                    step = step + e * (prev[i][a - 1] * prev[j][b - 1])
+        step = space.contract(prev[i], prev[j])
         rhs = rhs + partition.delta(r) * sign * motion.expect_element(step)
     return (lhs - rhs).norm()
 
@@ -284,9 +276,7 @@ def picard_solve(
             drift_vals = [a(*prev_node) for a in spec.drift]
             diff_vals = [[cfun(*prev_node) for cfun in row] for row in spec.diffusion]
             node = tuple(
-                nxt[r - 1][i]
-                + dt * drift_vals[i]
-                + sum((increments[a] * diff_vals[i][a] for a in range(space.m)), start=ZERO)
+                nxt[r - 1][i] + dt * drift_vals[i] + space.noise(increments, diff_vals[i])
                 for i in range(spec.dimension)
             )
             nxt.append(node)
@@ -484,25 +474,14 @@ def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
             df = first[i](evens, odds)
             if df.is_zero():
                 continue
-            dx = dt * x.drift[r - 1][i] + sum(
-                (increments[a] * x.diffusion[r - 1][i][a] for a in range(space.m)),
-                start=ZERO,
-            )
+            dx = dt * x.drift[r - 1][i] + space.noise(increments, x.diffusion[r - 1][i])
             rhs = rhs + dx * df
         for i in range(k):
             for j in range(k):
                 ddf = second[i][j](evens, odds)  # d_j d_i F, the d_i acting first
                 if ddf.is_zero():
                     continue
-                contraction = ZERO
-                for a in range(1, space.m + 1):
-                    for b in range(1, space.m + 1):
-                        e = space.eps(a, b)
-                        if e:
-                            contraction = contraction + e * (
-                                x.diffusion[r - 1][i][b - 1]
-                                * x.diffusion[r - 1][j][a - 1]
-                            )
+                contraction = space.contract(x.diffusion[r - 1][i], x.diffusion[r - 1][j])
                 rhs = rhs + 0.5 * dt * signs[i] * contraction * ddf
 
     motion = BrownianMotion(space, partition)

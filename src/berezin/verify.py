@@ -34,6 +34,7 @@ from .calculus import (
 )
 from .feynman_kac import (
     EXAMPLE_NAMES,
+    basis_elements,
     example_hamiltonian,
     fk_bruteforce,
     fk_evolve,
@@ -49,6 +50,7 @@ from .stochastic import (
     AdaptedMatrix,
     ItoProcess,
     MixedPolynomial,
+    PicardResult,
     SdeSpec,
     integration_by_parts_residual,
     isometry_residual,
@@ -70,7 +72,14 @@ from .wiener import (
     heat_kernel_difference,
 )
 
-__all__ = ["Check", "run_suite", "SUITE_NAMES", "random_element"]
+__all__ = [
+    "Check",
+    "run_suite",
+    "SUITE_NAMES",
+    "random_element",
+    "richardson",
+    "ou_second_moment",
+]
 
 SUITE_NAMES = ("algebra", "wiener", "ito", "sde", "fk")
 
@@ -89,11 +98,17 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.tolerance
+        return bool(self.value <= self.tolerance)
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"{flag}  {self.name}: value={self.value:.3e} tol={self.tolerance:.1e}"
+
+
+def richardson(values: Sequence):
+    """First-order extrapolate 2 v_N - v_{N/2} of a doubling refinement, or
+    the single value of a one-grid study."""
+    return 2 * values[-1] - values[-2] if len(values) > 1 else values[-1]
 
 
 def ratio_deviation(errors: Sequence[float]) -> float:
@@ -409,6 +424,16 @@ def ou_drift_spec(rate: float, noise: float, start: Sequence[GrassmannElement]) 
     return SdeSpec(drift, diffusion, tuple(start))
 
 
+def ou_second_moment(
+    rate: float, noise: float, partition: Partition
+) -> tuple[complex, PicardResult]:
+    """E[zeta1 zeta2] at the final node of the OU solution from the zero start."""
+    space = WienerSpace(2)
+    result = picard_solve(ou_drift_spec(rate, noise, (ZERO, ZERO)), space, partition)
+    final = result.process.final
+    return complex(BrownianMotion(space, partition).expect(final[0] * final[1])), result
+
+
 def ou_moment_study(
     steps_list: Sequence[int] = (8, 16, 32, 64),
     t_end: float = 1.0,
@@ -416,20 +441,15 @@ def ou_moment_study(
     noise: float = 1.0,
 ) -> dict:
     """E[zeta1 zeta2] from the zero start across grids, plus the extrapolate."""
-    space = WienerSpace(2)
-    spec = ou_drift_spec(rate, noise, (ZERO, ZERO))
     values = []
     depths = []
     final_moves = []
     for steps in steps_list:
-        partition = Partition.uniform(t_end, steps)
-        result = picard_solve(spec, space, partition)
-        motion = BrownianMotion(space, partition)
-        value = motion.expect(result.process.final[0] * result.process.final[1])
-        values.append(complex(value))
+        value, result = ou_second_moment(rate, noise, Partition.uniform(t_end, steps))
+        values.append(value)
         depths.append(result.stationary_depth)
         final_moves.append(result.differences[-1])
-    extrapolate = 2 * values[-1] - values[-2]
+    extrapolate = richardson(values)
     limit = noise**2 / (2 * rate) * (1 - np.exp(-2 * rate * t_end))
     return {
         "steps": tuple(steps_list),
@@ -530,20 +550,15 @@ def sde_suite() -> list[Check]:
 # -- feynman-kac ----------------------------------------------------------
 
 
-def _basis_elements() -> list[GrassmannElement]:
-    sv = state_variables(2)
-    return [ONE, gen(sv[0]), gen(sv[1]), gen(sv[0]) * gen(sv[1])]
-
-
 def feynman_kac_suite() -> list[Check]:
     checks: list[Check] = []
-    basis = _basis_elements()
+    basis = basis_elements(state_variables(2))
     in_vars = kernel_variables(2)
 
     flat = example_hamiltonian("flat")
     kernel = closed_form_kernel("flat", 1.0)
     worst = 0.0
-    for f, f_in in zip(basis, _kernel_side_basis()):
+    for f, f_in in zip(basis, basis_elements(in_vars)):
         estimate = fk_evolve(flat, f, Partition.uniform(1.0, 1))
         exact = berezin_integrate(kernel.body * f_in, in_vars)
         worst = max(worst, (estimate - exact).norm())
@@ -592,7 +607,7 @@ def feynman_kac_suite() -> list[Check]:
     checks.append(
         Check("quartic moment converges first order to the reference value", ratio_deviation(quartic_errors), RATIO_SLACK)
     )
-    refined = 2.0 * values[-1] - values[-2]
+    refined = richardson(values)
     checks.append(
         Check("quartic moment extrapolate vs the reference value", (refined - reference).norm(), 5e-4)
     )
@@ -649,11 +664,6 @@ def feynman_kac_suite() -> list[Check]:
     checks.append(Check("oracle derivative at zero, first order", derivative, RATIO_SLACK))
 
     return checks
-
-
-def _kernel_side_basis() -> list[GrassmannElement]:
-    kv = kernel_variables(2)
-    return [ONE, gen(kv[0]), gen(kv[1]), gen(kv[0]) * gen(kv[1])]
 
 
 _SUITES: dict[str, Callable[..., list[Check]]] = {

@@ -23,6 +23,7 @@ from .algebra import (
     GeneratorId,
     GrassmannElement,
     ONE,
+    ZERO,
     gen,
     increment,
 )
@@ -87,9 +88,15 @@ class Partition:
         return max(self.delta(r) for r in range(1, self.steps + 1))
 
     def node_index(self, t: float) -> int:
+        """Index of the node within a relative 1e-12 of ``t``.
+
+        Both neighbours of the bisection point are checked, since a time
+        computed in floating point may land just above its node.
+        """
         i = bisect_left(self.nodes, t)
-        if i < len(self.nodes) and abs(self.nodes[i] - t) <= 1e-12 * max(1.0, abs(t)):
-            return i
+        for j in (i, i - 1):
+            if 0 <= j < len(self.nodes) and abs(self.nodes[j] - t) <= 1e-12 * max(1.0, abs(t)):
+                return j
         raise ValueError(f"time {t} is not a partition node")
 
 
@@ -120,6 +127,22 @@ class WienerSpace:
             e[k, k + 1] = 1.0
             e[k + 1, k] = -1.0
         return e
+
+    def contract(
+        self, x: Sequence[GrassmannElement], y: Sequence[GrassmannElement]
+    ) -> GrassmannElement:
+        """Pairing contraction sum_{a,b} e^{ab} x_b y_a of two m-component rows."""
+        out = ZERO
+        for k in range(0, self.m, 2):
+            out = out + x[k + 1] * y[k] - x[k] * y[k + 1]
+        return out
+
+    @staticmethod
+    def noise(
+        increments: Sequence[GrassmannElement], coefficients: Sequence[GrassmannElement]
+    ) -> GrassmannElement:
+        """Euler noise step sum_a dbeta^a C_a, increments multiplying from the left."""
+        return sum((d * c for d, c in zip(increments, coefficients)), start=ZERO)
 
     def increment_ids(self, slice_index: int) -> tuple[GeneratorId, ...]:
         return tuple(increment(slice_index, a) for a in range(1, self.m + 1))

@@ -31,9 +31,11 @@ def test_verify_json_format(capsys):
 
 
 def test_verify_fk_covers_the_kernel_comparison(capsys):
-    code, out = run_cli(capsys, "verify", "fk")
+    code, out = run_cli(capsys, "verify", "fk", "--format", "json")
     assert code == 0
-    assert "reference kernels match the operator exponential" in out
+    payload = json.loads(out)
+    names = [check["name"] for check in payload["checks"]]
+    assert "reference kernels match the operator exponential" in names
 
 
 def test_kernel_report_for_the_linear_drift(capsys):

@@ -7,6 +7,7 @@ from berezin.feynman_kac import (
     EXAMPLE_NAMES,
     HamiltonianSpec,
     apply_hamiltonian,
+    basis_elements,
     closed_form_kernel,
     element_coordinates,
     example_hamiltonian,
@@ -35,6 +36,7 @@ KERNEL_SIDE = [ONE, gen(KV[0]), gen(KV[1]), gen(KV[0]) * gen(KV[1])]
 def test_basis_order_is_by_length_then_position():
     assert monomial_basis(2) == ((), (0,), (1,), (0, 1))
     assert monomial_basis(3)[:5] == ((), (0,), (1,), (2,), (0, 1))
+    assert basis_elements(state_variables(2)) == [ONE, X1, X2, TOP]
 
 
 def test_spec_parity_validation():

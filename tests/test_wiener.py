@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from berezin.algebra import ONE, aux, eta, gen
+from berezin.algebra import ONE, ZERO, aux, eta, gen
 from berezin.calculus import SupersmoothFunction, berezin_integrate, compose_kernels
 from berezin.wiener import (
     BrownianMotion,
@@ -19,6 +19,7 @@ from berezin.wiener import (
     heat_kernel_difference,
     mu_distance,
 )
+from berezin.verify import random_element
 
 SPACE = WienerSpace(2)
 VARS2 = (eta(1), eta(2))
@@ -35,6 +36,7 @@ def test_partition_validation():
     assert part.steps == 4
     assert part.mesh == pytest.approx(0.25)
     assert part.node_index(0.75) == 3
+    assert Partition.uniform(0.9, 3).node_index(0.1 * 3) == 1
     with pytest.raises(ValueError):
         part.node_index(0.3)
 
@@ -48,6 +50,22 @@ def test_pairing_matrix_is_block_antisymmetric():
     assert space.eps(1, 2) == 1 and space.eps(2, 1) == -1 and space.eps(1, 3) == 0
     with pytest.raises(ValueError):
         WienerSpace(3)
+
+
+def test_contract_matches_the_pairing_double_sum():
+    space = WienerSpace(4)
+    rng = random.Random(11)
+    pool = tuple(eta(i) for i in range(1, 7))
+    for _ in range(20):
+        x = [random_element(rng, pool, max_terms=4) for _ in range(4)]
+        y = [random_element(rng, pool, max_terms=4) for _ in range(4)]
+        want = ZERO
+        for a in range(1, 5):
+            for b in range(1, 5):
+                e = space.eps(a, b)
+                if e:
+                    want = want + e * (x[b - 1] * y[a - 1])
+        assert (space.contract(x, y) - want).norm() <= 1e-12
 
 
 def test_heat_kernel_at_unit_time_in_two_dimensions():
