@@ -20,7 +20,6 @@ from .algebra import (
     norm,
     parity,
     scalar,
-    set_prune_threshold,
     substitute,
 )
 from .calculus import (

@@ -35,8 +35,7 @@ __all__ = [
     "norm",
     "parity",
     "substitute",
-    "set_prune_threshold",
-    "prune_threshold",
+    "PRUNE",
     "element_to_json",
     "element_from_json",
 ]
@@ -96,23 +95,9 @@ MultiIndex = tuple[tuple[Block, int], ...]
 
 EMPTY_INDEX: MultiIndex = ()
 
-_prune = 1e-14
-
-
-def set_prune_threshold(value: float) -> float:
-    """Set the absolute magnitude below which coefficients are dropped.
-
-    Returns the previous threshold.  Pruning after every arithmetic
-    operation keeps long operator products sparse.
-    """
-    global _prune
-    old = _prune
-    _prune = float(value)
-    return old
-
-
-def prune_threshold() -> float:
-    return _prune
+# Coefficients below this magnitude are dropped after every operation,
+# which keeps long operator products sparse.
+PRUNE = 1e-14
 
 
 def _block_of(g: GeneratorId) -> tuple[Block, int]:
@@ -230,7 +215,7 @@ class GrassmannElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[MultiIndex, Scalar] | None = None):
-        tol = _prune
+        tol = PRUNE  # a local: the per-term loop below is hot
         data: dict[MultiIndex, complex] = {}
         if terms:
             for mi, coeff in terms.items():
@@ -293,9 +278,6 @@ class GrassmannElement:
             out.update(block for block, _ in mi)
         return out
 
-    def max_degree(self) -> int:
-        return max((index_degree(mi) for mi in self._terms), default=0)
-
     def norm(self) -> float:
         """Sum of coefficient magnitudes; submultiplicative under products."""
         return sum(abs(c) for c in self._terms.values())
@@ -351,10 +333,7 @@ class GrassmannElement:
                 data[mi] = data.get(mi, 0j) + sign * ca * cb
         return GrassmannElement(data)
 
-    def __rmul__(self, other: Scalar) -> "GrassmannElement":
-        if isinstance(other, (int, float, complex)):
-            return GrassmannElement({mi: other * c for mi, c in self._terms.items()})
-        return NotImplemented
+    __rmul__ = __mul__  # only scalars reach it, and scalar products commute
 
     def __truediv__(self, other: Scalar) -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):

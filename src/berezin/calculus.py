@@ -40,32 +40,24 @@ __all__ = [
 ]
 
 
+def _strip(a: GrassmannElement, g: GeneratorId, from_left: bool) -> GrassmannElement:
+    """Remove g from every monomial holding it, with the sign of moving it to
+    the left end (counting generators below g) or to the right end (above)."""
+    block, bit = _block_of(g)
+    data: dict[MultiIndex, complex] = {}
+    for mi, coeff in a.items():
+        removed = _remove_generator(mi, block, bit)
+        if removed is None:
+            continue
+        reduced, below, above = removed
+        sign = -1 if (below if from_left else above) & 1 else 1
+        data[reduced] = data.get(reduced, 0j) + sign * coeff
+    return GrassmannElement(data)
+
+
 def derivative_element(a: GrassmannElement, g: GeneratorId) -> GrassmannElement:
     """Left derivative of an element with respect to one generator."""
-    block, bit = _block_of(g)
-    data: dict[MultiIndex, complex] = {}
-    for mi, coeff in a.items():
-        removed = _remove_generator(mi, block, bit)
-        if removed is None:
-            continue
-        reduced, below, _above = removed
-        sign = -1 if below & 1 else 1
-        data[reduced] = data.get(reduced, 0j) + sign * coeff
-    return GrassmannElement(data)
-
-
-def _integrate_one(a: GrassmannElement, g: GeneratorId) -> GrassmannElement:
-    # Right extraction: sign counts the generators above g in each monomial.
-    block, bit = _block_of(g)
-    data: dict[MultiIndex, complex] = {}
-    for mi, coeff in a.items():
-        removed = _remove_generator(mi, block, bit)
-        if removed is None:
-            continue
-        reduced, _below, above = removed
-        sign = -1 if above & 1 else 1
-        data[reduced] = data.get(reduced, 0j) + sign * coeff
-    return GrassmannElement(data)
+    return _strip(a, g, from_left=True)
 
 
 def berezin_integrate(a: GrassmannElement, variables: Sequence[GeneratorId]) -> GrassmannElement:
@@ -78,7 +70,7 @@ def berezin_integrate(a: GrassmannElement, variables: Sequence[GeneratorId]) -> 
     """
     result = a
     for g in reversed(variables):
-        result = _integrate_one(result, g)
+        result = _strip(result, g, from_left=False)
         if result.is_zero():
             break
     return result

@@ -41,7 +41,14 @@ from .algebra import (
     substitute,
 )
 from .calculus import SupersmoothFunction, berezin_integrate, derivative_element, grassmann_delta
-from .wiener import BrownianMotion, Partition, WienerSpace, heat_kernel, heat_kernel_difference
+from .wiener import (
+    JOINT_CAP,
+    BrownianMotion,
+    Partition,
+    WienerSpace,
+    heat_kernel,
+    heat_kernel_difference,
+)
 
 __all__ = [
     "HamiltonianSpec",
@@ -142,15 +149,15 @@ def apply_hamiltonian(h: HamiltonianSpec, f: GrassmannElement) -> GrassmannEleme
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix of an operator on the monomial basis.
-
-    ``basis`` lists index tuples into ``variables`` ordered by monomial
-    length, then lexicographically; columns hold images of basis monomials.
-    """
+    """Dense matrix of an operator on the monomial basis of ``variables``;
+    columns hold images of basis monomials."""
 
     matrix: np.ndarray
     variables: tuple[GeneratorId, ...]
-    basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return monomial_basis(len(self.variables))
 
     @property
     def dimension(self) -> int:
@@ -158,6 +165,7 @@ class OperatorMatrix:
 
 
 def monomial_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples into n variables, by monomial length, then lexicographically."""
     subsets = [
         tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)
     ]
@@ -173,9 +181,8 @@ def basis_elements(variables: Sequence[GeneratorId]) -> list[GrassmannElement]:
     ]
 
 
-def element_coordinates(
-    f: GrassmannElement, variables: Sequence[GeneratorId], basis: Sequence[tuple[int, ...]]
-) -> np.ndarray:
+def element_coordinates(f: GrassmannElement, variables: Sequence[GeneratorId]) -> np.ndarray:
+    basis = monomial_basis(len(variables))
     lookup = {
         multi_index(tuple(variables[i] for i in subset)): pos
         for pos, subset in enumerate(basis)
@@ -189,11 +196,9 @@ def element_coordinates(
     return vec
 
 
-def element_from_coordinates(
-    vec: np.ndarray, variables: Sequence[GeneratorId], basis: Sequence[tuple[int, ...]]
-) -> GrassmannElement:
+def element_from_coordinates(vec: np.ndarray, variables: Sequence[GeneratorId]) -> GrassmannElement:
     terms = {}
-    for pos, subset in enumerate(basis):
+    for pos, subset in enumerate(monomial_basis(len(variables))):
         coeff = complex(vec[pos])
         if coeff != 0:
             terms[multi_index(tuple(variables[i] for i in subset))] = coeff
@@ -205,11 +210,11 @@ def operator_matrix(
 ) -> OperatorMatrix:
     """Matrix of a linear map on functions of ``variables``, one column per basis monomial."""
     variables = tuple(variables)
-    basis = monomial_basis(len(variables))
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    dim = 1 << len(variables)
+    matrix = np.zeros((dim, dim), dtype=complex)
     for col, f in enumerate(basis_elements(variables)):
-        matrix[:, col] = element_coordinates(apply(f), variables, basis)
-    return OperatorMatrix(matrix, variables, basis)
+        matrix[:, col] = element_coordinates(apply(f), variables)
+    return OperatorMatrix(matrix, variables)
 
 
 def hamiltonian_matrix(h: HamiltonianSpec) -> OperatorMatrix:
@@ -240,12 +245,12 @@ def semigroup_oracle(op: OperatorMatrix, t: float) -> OperatorMatrix:
     """Ground truth for exp(-t H), relative accuracy ~1e-12 at these sizes."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return OperatorMatrix(_expm(-t * op.matrix), op.variables, op.basis)
+    return OperatorMatrix(_expm(-t * op.matrix), op.variables)
 
 
 def matrix_apply(op: OperatorMatrix, f: GrassmannElement) -> GrassmannElement:
-    vec = element_coordinates(f, op.variables, op.basis)
-    return element_from_coordinates(op.matrix @ vec, op.variables, op.basis)
+    vec = element_coordinates(f, op.variables)
+    return element_from_coordinates(op.matrix @ vec, op.variables)
 
 
 # -- the probabilistic route -------------------------------------------
@@ -293,12 +298,10 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
     return operator_matrix(lambda f: fk_evolve(h, f, partition), h.variables)
 
 
-def fk_bruteforce(
-    h: HamiltonianSpec, f: GrassmannElement, partition: Partition, cap: int = 6
-) -> GrassmannElement:
+def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:
     """The same expectation with all slices live at once (small grids only)."""
-    if partition.steps > cap:
-        raise ValueError(f"brute-force mode caps at {cap} slices, got {partition.steps}")
+    if partition.steps > JOINT_CAP:
+        raise ValueError(f"brute-force mode caps at {JOINT_CAP} slices, got {partition.steps}")
     space = WienerSpace(h.m)
     state = tuple(gen(v) for v in h.variables)
     weight = ONE
@@ -350,14 +353,9 @@ def kernel_extract(
     return SupersmoothFunction(body, op.variables + in_vars)
 
 
-def oracle_kernel(
-    h: HamiltonianSpec,
-    t: float,
-    in_variables: Sequence[GeneratorId] | None = None,
-) -> SupersmoothFunction:
+def oracle_kernel(h: HamiltonianSpec, t: float) -> SupersmoothFunction:
     """Kernel of exp(-H t) through the matrix-exponential route."""
-    u = semigroup_oracle(hamiltonian_matrix(h), t)
-    return kernel_extract(u, in_variables)
+    return kernel_extract(semigroup_oracle(hamiltonian_matrix(h), t))
 
 
 def closed_form_kernel(
@@ -367,23 +365,19 @@ def closed_form_kernel(
     c: float = 1.0,
     b: float = 1.0,
     lam: float = 0.0,
-    out_variables: Sequence[GeneratorId] | None = None,
-    in_variables: Sequence[GeneratorId] | None = None,
 ) -> SupersmoothFunction:
     """Reference closed-form kernels of the two-dimensional example Hamiltonians.
 
     Names: flat, flat_potential (constant potential ``lam``), ou (rate
     ``r``, noise ``c``), oscillator, quartic (coupling ``b``, noise ``c``).
-    The first argument set is the output point, the second is integrated.
+    The output point is ``state_variables(2)``; the integrated argument is
+    ``kernel_variables(2)``.
     The quartic formula is kept in its reference form; it does not match the
     operator exponential in the top slot (see the module docstring).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    out_vars = tuple(out_variables) if out_variables is not None else state_variables(2)
-    in_vars = tuple(in_variables) if in_variables is not None else kernel_variables(2)
-    if len(out_vars) != 2 or len(in_vars) != 2:
-        raise ValueError("closed forms are two-dimensional")
+    out_vars, in_vars = state_variables(2), kernel_variables(2)
     xi1, xi2 = (gen(v) for v in out_vars)
     et1, et2 = (gen(v) for v in in_vars)
     variables = out_vars + in_vars

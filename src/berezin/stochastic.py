@@ -4,7 +4,7 @@ Time integrals and Ito integrals are left-endpoint sums on a fixed grid;
 increments always multiply integrands from the left.  Limits are taken by
 refinement studies rather than inside the library: every object here is an
 exact finite-grid quantity, and the convergence report is the caller's job
-(see the cli module for Richardson extrapolation of the studied numbers).
+(see ``verify.richardson`` for the extrapolate of the studied numbers).
 """
 
 from __future__ import annotations
@@ -232,7 +232,6 @@ def picard_solve(
     spec: SdeSpec,
     space: WienerSpace,
     partition: Partition,
-    max_iterations: int | None = None,
     initial_guess: Sequence[Sequence[GrassmannElement]] | None = None,
     compute_mu: bool = False,
 ) -> PicardResult:
@@ -241,17 +240,14 @@ def picard_solve(
     Each pass rebuilds the process from the previous iterate's integrands;
     with polynomial coefficients the iterates become stationary (elementwise
     identical) once the iteration count passes the reachable depth, which
-    is at most the number of grid steps.  ``differences`` records the total
-    coefficient movement per pass and hits exactly zero at stationarity;
-    ``compute_mu`` adds the final-node moment gap per pass.
+    is at most the number of grid steps; the loop stops after ``steps + 2``
+    passes.  ``differences`` records the total coefficient movement per pass
+    and hits exactly zero at stationarity; ``compute_mu`` adds the
+    final-node moment gap per pass.
     """
     if spec.brownian_dimension != space.m:
         raise ValueError("diffusion width must match the Brownian dimension")
     steps = partition.steps
-    if max_iterations is None:
-        max_iterations = steps + 2
-    if max_iterations < 1:
-        raise ValueError("need at least one iteration")
 
     if initial_guess is None:
         current = [tuple(spec.initial) for _ in range(steps + 1)]
@@ -267,7 +263,7 @@ def picard_solve(
     if compute_mu:
         previous_rv = AdaptedProcess(space, partition, tuple(current)).random_variable()
 
-    for k in range(1, max_iterations + 1):
+    for k in range(1, steps + 3):
         nxt: list[tuple[GrassmannElement, ...]] = [tuple(spec.initial)]
         for r in range(1, steps + 1):
             dt = partition.delta(r)

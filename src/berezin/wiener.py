@@ -44,6 +44,8 @@ __all__ = [
     "brownian_moment_rows",
 ]
 
+JOINT_CAP = 6  # slice limit of the engines that keep every slice live
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -154,6 +156,17 @@ class WienerSpace:
         return f"WienerSpace(m={self.m})"
 
 
+def _gaussian(points: Sequence[GrassmannElement], t: float) -> GrassmannElement:
+    """The product over component pairs of (t + x_{2k-1} x_{2k})."""
+    m = len(points)
+    if m < 2 or m % 2:
+        raise ValueError("the heat kernel needs an even number of variables")
+    body = ONE
+    for k in range(0, m, 2):
+        body = body * (t + points[k] * points[k + 1])
+    return body
+
+
 def heat_kernel(variables: Sequence[GeneratorId], t: float) -> SupersmoothFunction:
     """The weight-one Gaussian on an even set of anticommuting variables.
 
@@ -162,15 +175,9 @@ def heat_kernel(variables: Sequence[GeneratorId], t: float) -> SupersmoothFuncti
     delta monomial at t = 0.  Its full Berezin integral is 1 and it solves
     d/dt p = -H0 p for the free operator of ``free_hamiltonian_apply``.
     """
-    m = len(variables)
-    if m < 2 or m % 2:
-        raise ValueError("the heat kernel needs an even number of variables")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    body = ONE
-    for k in range(0, m, 2):
-        body = body * (t + gen(variables[k]) * gen(variables[k + 1]))
-    return SupersmoothFunction(body, tuple(variables))
+    return SupersmoothFunction(_gaussian([gen(v) for v in variables], t), tuple(variables))
 
 
 def heat_kernel_difference(
@@ -179,36 +186,25 @@ def heat_kernel_difference(
     """Heat kernel evaluated on the difference of two variable sets."""
     if len(first) != len(second):
         raise ValueError("variable sets must have equal length")
-    m = len(first)
-    if m < 2 or m % 2:
-        raise ValueError("the heat kernel needs an even number of variables")
-    body = ONE
-    for k in range(0, m, 2):
-        u = gen(first[k]) - gen(second[k])
-        v = gen(first[k + 1]) - gen(second[k + 1])
-        body = body * (t + u * v)
-    return SupersmoothFunction(body, tuple(first) + tuple(second))
+    points = [gen(u) - gen(v) for u, v in zip(first, second)]
+    return SupersmoothFunction(_gaussian(points, t), tuple(first) + tuple(second))
 
 
 def free_hamiltonian_apply(space: WienerSpace, f: SupersmoothFunction) -> SupersmoothFunction:
     """Apply the free operator (1/2) e^{ij} d_i d_j to a function of m variables."""
     if f.dimension != space.m:
         raise ValueError("function dimension must equal the space dimension")
-    out = GrassmannElement()
-    for i in range(1, space.m + 1):
-        for j in range(1, space.m + 1):
-            e = space.eps(i, j)
-            if not e:
-                continue
-            second = derivative_element(f.body, f.variables[j - 1])
-            out = out + 0.5 * e * derivative_element(second, f.variables[i - 1])
+    out = ZERO
+    v, d = f.variables, derivative_element
+    for k in range(0, space.m, 2):  # e^{ij} is +1 on (v[k], v[k+1]) and -1 on the reverse
+        out = out + 0.5 * d(d(f.body, v[k + 1]), v[k])
+        out = out + -0.5 * d(d(f.body, v[k]), v[k + 1])
     return SupersmoothFunction(out, f.variables)
 
 
-def heat_equation_residual(
-    space: WienerSpace, variables: Sequence[GeneratorId], t: float, h: float = 1e-5
-) -> float:
+def heat_equation_residual(space: WienerSpace, variables: Sequence[GeneratorId], t: float) -> float:
     """Norm of (d/dt p + H0 p) with d/dt by central finite difference."""
+    h = 1e-5
     if t <= h:
         raise ValueError("need t > h for the central difference")
     plus = heat_kernel(variables, t + h).body
@@ -216,10 +212,6 @@ def heat_equation_residual(
     dt = (plus - minus) / (2 * h)
     action = free_hamiltonian_apply(space, heat_kernel(variables, t)).body
     return (dt + action).norm()
-
-
-def _scalar_or_element(value: GrassmannElement) -> "complex | GrassmannElement":
-    return value.scalar_value() if value.is_scalar() else value
 
 
 class BrownianMotion:
@@ -252,16 +244,15 @@ class BrownianMotion:
     def at_time(self, t: float) -> tuple[GrassmannElement, ...]:
         return self.at_node(self.partition.node_index(t))
 
-    def expect(self, functional: GrassmannElement, joint: bool = False, joint_cap: int = 6):
+    def expect(self, functional: GrassmannElement):
         """Expectation of a functional of the increments.
 
         Free generators of other families survive as parameters, in which
         case the result is returned as an element rather than a complex
         number.  Increment generators must belong to declared slices.
         """
-        if joint:
-            return _scalar_or_element(self._expect_joint(functional, joint_cap))
-        return _scalar_or_element(self._expect_sequential(functional))
+        value = self._expect_sequential(functional)
+        return value.scalar_value() if value.is_scalar() else value
 
     def expect_element(self, functional: GrassmannElement) -> GrassmannElement:
         return self._expect_sequential(functional)
@@ -284,11 +275,12 @@ class BrownianMotion:
             current = berezin_integrate(density * current, ids)
         return current
 
-    def _expect_joint(self, functional: GrassmannElement, cap: int) -> GrassmannElement:
+    def _expect_joint(self, functional: GrassmannElement) -> GrassmannElement:
+        """All slices live at once: the oracle of the sequential engine."""
         self._check_slices(functional)
         n = self.partition.steps
-        if n > cap:
-            raise ValueError(f"joint mode caps at {cap} slices, got {n}")
+        if n > JOINT_CAP:
+            raise ValueError(f"joint mode caps at {JOINT_CAP} slices, got {n}")
         density = ONE
         variables: list[GeneratorId] = []
         for r in range(1, n + 1):

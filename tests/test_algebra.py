@@ -16,10 +16,9 @@ from berezin.algebra import (
     gen,
     grassmann_exp,
     increment,
+    PRUNE,
     monomial,
-    prune_threshold,
     scalar,
-    set_prune_threshold,
     substitute,
 )
 from berezin.verify import random_element
@@ -187,14 +186,10 @@ def test_scalar_mixing_and_division():
     assert 1 + E1 == E1 + 1
 
 
-def test_prune_threshold_drops_noise_and_is_configurable():
-    old = set_prune_threshold(1e-6)
-    try:
-        assert prune_threshold() == 1e-6
-        assert (E1 * 1e-9).is_zero()
-        assert not (E1 * 1e-3).is_zero()
-    finally:
-        set_prune_threshold(old)
+def test_prune_threshold_drops_noise():
+    assert PRUNE == 1e-14
+    assert (E1 * 1e-15).is_zero()
+    assert not (E1 * 1e-13).is_zero()
 
 
 def test_rendering_style():

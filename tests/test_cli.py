@@ -144,3 +144,39 @@ def test_bad_grid_list_is_rejected(capsys):
 def test_unknown_suite_is_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
+
+
+def test_converge_oscillator_extrapolates_at_second_order(capsys):
+    code, out = run_cli(
+        capsys, "converge", "--quantity", "oscillator_c0", "--n", "8,16,32,64", "--format", "json"
+    )
+    assert code == 0
+    assert abs(json.loads(out)["extrapolate"][0] - np.sinh(1.0)) <= 1e-6
+
+
+def test_converge_extrapolates_with_the_actual_grid_ratio(capsys):
+    code, out = run_cli(
+        capsys, "converge", "--quantity", "ou_xx", "--n", "12,16,24,32", "--format", "json"
+    )
+    assert code == 0
+    assert abs(json.loads(out)["extrapolate"][0] - (1 - np.exp(-2.0)) / 2) <= 1e-3
+
+
+def test_kernel_ratio_check_uses_the_actual_grid_ratio(capsys):
+    code, out = run_cli(capsys, "kernel", "oscillator", "--n", "48,64")
+    assert code == 0
+    payload = json.loads(out)
+    first, second = payload["max_abs_error"]["fk_vs_oracle"]
+    assert first / second == pytest.approx(64 / 48, abs=0.01)
+    ratio_check = [c for c in payload["checks"] if "halves" in c["name"]]
+    assert ratio_check and ratio_check[0]["passed"]
+
+
+def test_config_file_sets_any_option_of_its_subcommand(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"quantity": "flat_c0", "n": "2,4", "format": "json", "func": 0}))
+    code, out = run_cli(capsys, "converge", "--config", str(config), "--n", "4,8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["quantity"] == "flat_c0"  # a config entry for an option with a default
+    assert payload["N"] == [4, 8]  # the flag wins over the config value

@@ -107,7 +107,7 @@ def test_linear_drift_oracle_action_on_the_basis():
 def test_coordinates_reject_elements_outside_the_span():
     op = hamiltonian_matrix(example_hamiltonian("flat"))
     with pytest.raises(ValueError):
-        element_coordinates(gen(aux(1)), op.variables, op.basis)
+        element_coordinates(gen(aux(1)), op.variables)
 
 
 def test_flat_evolution_is_exact_at_any_grid():
@@ -141,7 +141,7 @@ def test_oscillator_estimate_converges_first_order_to_the_oracle():
     for steps in (8, 16, 32, 64):
         last = fk_evolve(oscillator, TOP, Partition.uniform(1.0, steps))
         errors.append((last - target).norm())
-    assert ratio_deviation(errors) <= 0.3
+    assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
     assert abs(last.constant - np.sinh(1.0)) <= 5e-3
 
 
@@ -152,7 +152,7 @@ def test_quartic_moments_converge_to_the_reference_values():
     for steps in (8, 16, 32, 64):
         estimate = fk_evolve(quartic, TOP, Partition.uniform(1.0, steps))
         errors.append((estimate - reference).norm())
-    assert ratio_deviation(errors) <= 0.3
+    assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
     partition = Partition.uniform(1.0, 16)
     assert (fk_evolve(quartic, ONE, partition) - ONE).norm() <= 1e-12
     assert (fk_evolve(quartic, X1, partition) - X1).norm() <= 1e-12
@@ -190,7 +190,7 @@ def test_a_real_quartic_field_evolves_with_the_opposite_exponent():
     for steps in (16, 32, 64):
         estimate = fk_evolve(real_variant, TOP, Partition.uniform(1.0, steps))
         errors.append((estimate - target).norm())
-    assert ratio_deviation(errors) <= 0.4
+    assert ratio_deviation(errors, (16, 32, 64)) <= 0.4
 
 
 def test_bruteforce_agrees_with_the_transfer_engine():
@@ -222,7 +222,7 @@ def test_bruteforce_slice_cap():
 def test_identity_kernel_is_the_reproducing_delta():
     from berezin.feynman_kac import OperatorMatrix
 
-    identity = OperatorMatrix(np.eye(4, dtype=complex), SV, monomial_basis(2))
+    identity = OperatorMatrix(np.eye(4, dtype=complex), SV)
     got = kernel_extract(identity)
     want = grassmann_delta(SV, KV)
     assert (got.body - want.body).norm() == 0.0
@@ -284,7 +284,7 @@ def test_kernel_round_trip_in_three_dimensions():
     basis = monomial_basis(3)
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    op = OperatorMatrix(matrix, variables, basis)
+    op = OperatorMatrix(matrix, variables)
     kernel = kernel_extract(op, fresh)
     for position, subset in enumerate(basis):
         f_in = monomial(tuple(fresh[i] for i in subset))
@@ -313,7 +313,7 @@ def test_four_dimensional_oscillator_through_the_generic_machinery():
     for steps in (8, 16, 32):
         estimate = fk_evolve(h, ONE, Partition.uniform(1.0, steps))
         errors.append((estimate - evolved).norm())
-    assert ratio_deviation(errors) <= 0.3
+    assert ratio_deviation(errors, (8, 16, 32)) <= 0.3
     assert errors[-1] <= 0.15
 
 

@@ -177,14 +177,14 @@ def test_sequential_engine_matches_joint_mode():
             r = rng.randint(1, 4)
             x = x * nodes[r][rng.randint(0, 1)]
         seq = motion.expect_element(x)
-        joint = motion._expect_joint(x, cap=6)
+        joint = motion._expect_joint(x)
         assert (seq - joint).norm() <= 1e-12
 
 
 def test_joint_mode_cap():
     motion = BrownianMotion(SPACE, Partition.uniform(1.0, 8))
     with pytest.raises(ValueError):
-        motion.expect(ONE, joint=True)
+        motion._expect_joint(ONE)
 
 
 def test_undeclared_slices_are_rejected():
