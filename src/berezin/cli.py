@@ -6,10 +6,10 @@ kernels of the worked Hamiltonians with pairwise errors), ``converge``
 ``moments`` (low-order path moments).  The extrapolate of ``converge``
 uses the actual ratio of the last two grids and the order of the tracked
 quantity.  A JSON config file (``--config``) may set any option of its
-subcommand, keyed by option name; explicit flags win.  Reports are
-deterministic for a fixed configuration, except for the timestamp field
-of JSON reports.  Suite exit status is nonzero when any checked tolerance
-fails.  No environment variable is read.
+subcommand, keyed by option name; its values are checked like flags, and
+explicit flags win.  Reports are deterministic for a fixed configuration,
+except for the timestamp field of JSON reports.  Suite exit status is
+nonzero when any checked tolerance fails.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -317,18 +317,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
+    """Flags for the config entries that name options of ``command``.
+
+    Each value goes in as the text of its flag, so argparse checks its type
+    and choices as it checks a flag's; a value with no flag text (a list,
+    an object, a boolean or null) is refused.
+    """
+    flags = []
+    for action in command._actions:
+        if not action.option_strings or action.dest in ("help", "config") or action.dest not in config:
+            continue
+        option, value = action.option_strings[0], config[action.dest]
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            command.error(f"argument {option}: invalid config value: {value!r}")
+        flags.append(f"{option}={value}")
+    return flags
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        # The file's entries become the subcommand's defaults, so flags still win.
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise SystemExit("the config file must hold a JSON object")
-        names = set(vars(args)) - {"command", "func", "config"}
-        commands[args.command].set_defaults(**{k: v for k, v in config.items() if k in names})
-        args = parser.parse_args(argv)
+        # The file's entries go in as flags ahead of the given ones, so they
+        # are checked like flags and a given flag still wins.
+        argv = list(sys.argv[1:] if argv is None else argv)
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_flags(commands[args.command], config) + argv[at:])
     return args.func(args)
 
 

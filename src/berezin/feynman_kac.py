@@ -40,13 +40,14 @@ from .algebra import (
     scalar,
     substitute,
 )
-from .calculus import SupersmoothFunction, berezin_integrate, derivative_element, grassmann_delta
+from .calculus import SupersmoothFunction, derivative_element, grassmann_delta
 from .wiener import (
     JOINT_CAP,
     BrownianMotion,
     Partition,
     WienerSpace,
-    heat_kernel,
+    _integrate_slice,
+    _slice_density,
     heat_kernel_difference,
 )
 
@@ -274,22 +275,31 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
 
     One Euler step per slice: the state moves by -i dt alpha + dbeta c,
     the potential contributes a left-endpoint weight exp(-dt v), and the
-    slice increments are integrated out immediately against their density,
-    so the cost is linear in the number of slices.  Exact in the mesh when
-    drift and potential vanish; first-order accurate otherwise.
+    slice increments are integrated out immediately by the closed-form
+    pairing rule of their heat-kernel density, so the cost is linear in
+    the number of slices.  The Euler map, the weight and the density depend
+    on the slice width only, so each distinct width builds them once per
+    call.  Exact in the mesh when drift and potential vanish; first-order
+    accurate otherwise.
     """
     space = WienerSpace(h.m)
     ids = space.increment_ids(1)  # one scratch slice, integrated out per step
     increments = [gen(g) for g in ids]
     symbols = [gen(v) for v in h.variables]
+    by_width: dict[float, tuple] = {}
     current = f
     for r in range(partition.steps, 0, -1):
         dt = partition.delta(r)
-        stepped = _euler_state(symbols, h.drift_fields, h.diffusion_fields, increments, dt)
-        moved = substitute(current, dict(zip(h.variables, stepped)))
-        weight = grassmann_exp(-dt * h.potential)
-        density = heat_kernel(ids, dt).body
-        current = berezin_integrate(density * (weight * moved), ids)
+        step = by_width.get(dt)
+        if step is None:
+            stepped = _euler_state(symbols, h.drift_fields, h.diffusion_fields, increments, dt)
+            step = by_width[dt] = (
+                dict(zip(h.variables, stepped)),
+                grassmann_exp(-dt * h.potential),
+                _slice_density(ids, dt),
+            )
+        mapping, weight, density = step
+        current = _integrate_slice(weight * substitute(current, mapping), density)
     return current
 
 

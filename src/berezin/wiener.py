@@ -5,7 +5,11 @@ densities; Brownian motion at a partition node is the running sum of
 per-slice increment generators, and every expectation is an exact Berezin
 integral.  The default engine eliminates one time slice at a time, from
 the last slice inward, so the live generator count stays proportional to
-the number of slices a functional actually touches.  A joint mode that
+the number of slices a functional actually touches.  Each slice is
+integrated by the closed-form pairing (Wick) rule of the Gaussian Berezin
+integral: a term survives only when its slice generators are whole
+component pairs, and it picks up the density coefficient of the
+complementary pairs.  A joint mode that forms the density products and
 keeps all slices live backs it as an internal oracle for small grids.
 """
 
@@ -19,13 +23,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
+    Block,
     Family,
     GeneratorId,
     GrassmannElement,
+    MultiIndex,
     ONE,
     ZERO,
     gen,
     increment,
+    multi_index,
 )
 from .calculus import SupersmoothFunction, berezin_integrate, derivative_element
 
@@ -190,6 +197,59 @@ def heat_kernel_difference(
     return SupersmoothFunction(_gaussian(points, t), tuple(first) + tuple(second))
 
 
+# One slice's density as the pairing rule reads it: the slice block, and for
+# each heat-kernel term in product order, the slice mask of the terms it
+# meets (the complement of its own mask) with its coefficient.
+SliceDensity = tuple[Block, tuple[tuple[int, complex], ...]]
+
+
+def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
+    """The heat-kernel density of one slice, in the form ``_integrate_slice`` takes.
+
+    ``ids`` must be the components 1..m of one block in canonical order, as
+    ``WienerSpace.increment_ids`` gives them.  The coefficients are read off
+    ``heat_kernel`` itself, so they keep its rounding and its pruning.
+    """
+    index = multi_index(ids)
+    if len(index) != 1 or index[0][1] != (1 << len(ids)) - 1 or list(ids) != sorted(ids):
+        raise ValueError("slice variables must be the components 1..m of one block, in order")
+    block, full = index[0]
+    terms = tuple(
+        (full ^ (mi[0][1] if mi else 0), c) for mi, c in heat_kernel(ids, t).body.items()
+    )
+    return block, terms
+
+
+def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannElement:
+    """Berezin integral of (slice density) * a over the slice, by the pairing rule.
+
+    Equal, coefficient for coefficient and in term order, to
+    ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``.  A density term
+    meets only the terms of ``a`` whose slice mask is its complement, with
+    sign +1: both masks are unions of whole pairs, and the m strips are even
+    in number.  Every other product term misses a slice variable and
+    integrates to zero.  Sums run in the product's order (density terms
+    outer, terms of ``a`` inner), so every coefficient rounds as it did.
+    """
+    block, terms = density
+    buckets: dict[int, list[tuple[MultiIndex, complex]]] = {mask: [] for mask, _ in terms}
+    for mi, c in a.items():
+        mask, pos = 0, 0
+        for pos, (blk, bits) in enumerate(mi):
+            if blk >= block:
+                if blk == block:
+                    mask = bits
+                break
+        bucket = buckets.get(mask)
+        if bucket is not None:
+            bucket.append((mi[:pos] + mi[pos + 1 :] if mask else mi, c))
+    data: dict[MultiIndex, complex] = {}
+    for mask, dc in terms:
+        for key, c in buckets[mask]:
+            data[key] = data.get(key, 0j) + dc * c
+    return GrassmannElement(data)
+
+
 def free_hamiltonian_apply(space: WienerSpace, f: SupersmoothFunction) -> SupersmoothFunction:
     """Apply the free operator (1/2) e^{ij} d_i d_j to a function of m variables."""
     if f.dimension != space.m:
@@ -219,7 +279,8 @@ class BrownianMotion:
 
     Each slice r carries m fresh increment generators; the path value at
     node r is the sum of the first r increments.  Expectations integrate
-    each slice against its own heat-kernel density, last slice first.
+    out one slice at a time, last slice first, by the pairing rule of its
+    heat-kernel density (``_integrate_slice``).
     """
 
     def __init__(self, space: WienerSpace, partition: Partition):
@@ -270,9 +331,8 @@ class BrownianMotion:
         for r in range(self.partition.steps, 0, -1):
             if (int(Family.INCREMENT), r) not in current.blocks():
                 continue  # the slice density integrates to one
-            ids = self.space.increment_ids(r)
-            density = heat_kernel(ids, self.partition.delta(r)).body
-            current = berezin_integrate(density * current, ids)
+            density = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
+            current = _integrate_slice(current, density)
         return current
 
     def _expect_joint(self, functional: GrassmannElement) -> GrassmannElement:

@@ -180,3 +180,25 @@ def test_config_file_sets_any_option_of_its_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["quantity"] == "flat_c0"  # a config entry for an option with a default
     assert payload["N"] == [4, 8]  # the flag wins over the config value
+
+
+@pytest.mark.parametrize(
+    "command", (["converge", "--quantity", "flat_c0", "--n", "2,4"], ["kernel", "flat", "--n", "2"])
+)
+def test_config_value_outside_the_choices_is_rejected(tmp_path, capsys, command):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--config", str(config)])
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ([1], "one", True, None))
+def test_config_value_of_the_wrong_type_is_rejected(tmp_path, capsys, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t": value}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "flat", "--n", "2", "--config", str(config)])
+    assert exit_info.value.code == 2
+    assert "--t" in capsys.readouterr().err

@@ -203,6 +203,18 @@ def test_bruteforce_agrees_with_the_transfer_engine():
                 assert gap <= 1e-10, (name, steps)
 
 
+def test_bruteforce_agrees_with_the_transfer_engine_on_repeating_widths():
+    nodes = (0.0, 0.2, 0.5, 0.7, 1.0, 1.2)  # widths 0.2, 0.3, 0.2, 0.3, 0.2
+    partition = Partition(nodes)
+    widths = [partition.delta(r) for r in range(1, partition.steps + 1)]
+    assert len(set(widths)) < len(widths)  # fk_evolve reuses a width's slice map
+    for name in EXAMPLE_NAMES:
+        h = example_hamiltonian(name, lam=0.7)
+        for f in basis_elements(h.variables):
+            gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
+            assert gap <= 1e-12, (name, f)
+
+
 def test_bruteforce_flat_with_several_slices_is_still_exact():
     flat = example_hamiltonian("flat")
     kernel = closed_form_kernel("flat", 1.0)

@@ -1,11 +1,15 @@
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berezin.algebra import ONE, ZERO, aux, eta, gen
+from berezin.algebra import ONE, ZERO, GrassmannElement, aux, eta, gen, increment, multi_index
 from berezin.calculus import SupersmoothFunction, berezin_integrate, compose_kernels
 from berezin.wiener import (
+    JOINT_CAP,
     BrownianMotion,
     Partition,
     RandomVariable,
@@ -18,6 +22,8 @@ from berezin.wiener import (
     heat_kernel,
     heat_kernel_difference,
     mu_distance,
+    _integrate_slice,
+    _slice_density,
 )
 from berezin.verify import random_element
 
@@ -179,6 +185,78 @@ def test_sequential_engine_matches_joint_mode():
         seq = motion.expect_element(x)
         joint = motion._expect_joint(x)
         assert (seq - joint).norm() <= 1e-12
+
+
+COEFFICIENTS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def slice_integrands(draw):
+    """An element over one slice's increments, with state variables below the
+    slice block, auxiliary generators above it, and neighbouring slices."""
+    m = draw(st.sampled_from((2, 4)))
+    ids = WienerSpace(m).increment_ids(2)
+    pool = ids + (eta(1), eta(2), increment(1, 1), increment(3, 2), aux(1), aux(2))
+    terms = draw(
+        st.lists(st.tuples(st.sets(st.sampled_from(pool)), COEFFICIENTS), min_size=1, max_size=12)
+    )
+    a = GrassmannElement({multi_index(sorted(gens)): c for gens, c in terms})
+    t = draw(st.one_of(st.floats(1e-3, 3.0), st.just(1e-8)))  # 1e-8: m = 4 prunes t**2
+    return a, ids, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(slice_integrands())
+def test_pairing_rule_is_the_slice_product_and_strip_bit_for_bit(case):
+    a, ids, t = case
+    want = berezin_integrate(heat_kernel(ids, t).body * a, ids)
+    got = _integrate_slice(a, _slice_density(ids, t))
+    assert list(got.items()) == list(want.items())
+    assert repr(list(got.items())) == repr(list(want.items()))  # signs of zero too
+
+
+def test_slice_density_needs_one_whole_block_in_order():
+    ids = WienerSpace(4).increment_ids(1)
+    for bad in (ids[:3], ids[::-1], ids[:2] + WienerSpace(2).increment_ids(2)):
+        with pytest.raises(ValueError):
+            _slice_density(bad, 1.0)
+
+
+@st.composite
+def path_functionals(draw):
+    """A sum of products of pairs of path values and increments on a random
+    grid, some factors carrying a free auxiliary generator.  The second
+    factor of a pair often takes the pairing partner of the first's
+    component, so that many expectations are nonzero."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = rng.choice((2, 4))
+    steps = rng.randint(1, JOINT_CAP)
+    widths = [rng.uniform(0.05, 1.0) for _ in range(steps)]
+    motion = BrownianMotion(WienerSpace(m), Partition(tuple(accumulate(widths, initial=0.0))))
+
+    def factor(comp):
+        r = rng.randint(1, steps)
+        value = (motion.at_node(r) if rng.random() < 0.5 else motion.increments(r))[comp]
+        parameter = rng.choice((None, None, aux(1), aux(2)))
+        return value if parameter is None else gen(parameter) * value
+
+    functional = ZERO
+    for _ in range(rng.randint(1, 2)):
+        x = ONE
+        for _ in range(rng.randint(1, 2)):
+            comp = rng.randrange(m)
+            partner = comp ^ 1 if rng.random() < 0.5 else rng.randrange(m)
+            x = x * factor(comp) * factor(partner)
+        functional = functional + x
+    return motion, functional
+
+
+@settings(derandomize=True, deadline=None)
+@given(path_functionals())
+def test_sequential_engine_matches_joint_mode_on_random_grids(case):
+    motion, functional = case
+    gap = motion.expect_element(functional) - motion._expect_joint(functional)
+    assert gap.norm() <= 1e-12
 
 
 def test_joint_mode_cap():
