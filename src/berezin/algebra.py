@@ -278,6 +278,10 @@ class GrassmannElement:
             out.update(block for block, _ in mi)
         return out
 
+    def touches(self, block: Block) -> bool:
+        """Whether some term has a generator in ``block``; stops at the first."""
+        return any(b == block for mi in self._terms for b, _ in mi)
+
     def norm(self) -> float:
         """Sum of coefficient magnitudes; submultiplicative under products."""
         return sum(abs(c) for c in self._terms.values())
@@ -466,11 +470,25 @@ def substitute(
     odd images square to zero, which is what makes the extension to
     products well defined.
     """
+    return _substitute_odd(a, _odd_images(mapping))
+
+
+def _odd_images(
+    mapping: Mapping[GeneratorId, GrassmannElement]
+) -> dict[GeneratorId, GrassmannElement]:
+    """The images of a substitution map, each checked to be odd (or zero)."""
     images: dict[GeneratorId, GrassmannElement] = {}
     for g, value in mapping.items():
         if not value.is_zero() and value.parity() is not Parity.ODD:
             raise ValueError(f"substitution image for {g} must be odd, got {value.parity().value}")
         images[g] = value
+    return images
+
+
+def _substitute_odd(
+    a: GrassmannElement, images: Mapping[GeneratorId, GrassmannElement]
+) -> GrassmannElement:
+    """The homomorphism of ``substitute``, for images ``_odd_images`` has checked."""
     result = ZERO
     for mi, coeff in a.items():
         term = GrassmannElement.from_scalar(coeff)

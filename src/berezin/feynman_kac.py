@@ -39,6 +39,8 @@ from .algebra import (
     multi_index,
     scalar,
     substitute,
+    _odd_images,
+    _substitute_odd,
 )
 from .calculus import SupersmoothFunction, derivative_element, grassmann_delta
 from .wiener import (
@@ -278,9 +280,9 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     slice increments are integrated out immediately by the closed-form
     pairing rule of their heat-kernel density, so the cost is linear in
     the number of slices.  The Euler map, the weight and the density depend
-    on the slice width only, so each distinct width builds them once per
-    call.  Exact in the mesh when drift and potential vanish; first-order
-    accurate otherwise.
+    on the slice width only, so each distinct width builds them, and checks
+    the map's images odd, once per call.  Exact in the mesh when drift and
+    potential vanish; first-order accurate otherwise.
     """
     space = WienerSpace(h.m)
     ids = space.increment_ids(1)  # one scratch slice, integrated out per step
@@ -294,12 +296,12 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
         if step is None:
             stepped = _euler_state(symbols, h.drift_fields, h.diffusion_fields, increments, dt)
             step = by_width[dt] = (
-                dict(zip(h.variables, stepped)),
+                _odd_images(dict(zip(h.variables, stepped))),
                 grassmann_exp(-dt * h.potential),
                 _slice_density(ids, dt),
             )
         mapping, weight, density = step
-        current = _integrate_slice(weight * substitute(current, mapping), density)
+        current = _integrate_slice(weight * _substitute_odd(current, mapping), density)
     return current
 
 

@@ -5,6 +5,12 @@ increments always multiply integrands from the left.  Limits are taken by
 refinement studies rather than inside the library: every object here is an
 exact finite-grid quantity, and the convergence report is the caller's job
 (see ``verify.richardson`` for the extrapolate of the studied numbers).
+
+SDEs are solved by ``solve_sde``, one forward Euler sweep: the
+left-endpoint scheme is explicit, so node r follows from node r-1 and the
+sweep is the unique grid solution.  ``picard_solve`` iterates the same
+step map and stays for the checks that are about the iteration itself
+(uniqueness from two seeds, moment-gap diagnostics, stationarity).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "isometry_residual",
     "SdeSpec",
     "PicardResult",
+    "solve_sde",
     "picard_solve",
     "MixedPolynomial",
     "ItoProcess",
@@ -228,6 +235,47 @@ class PicardResult:
     mu_diagnostics: tuple[float, ...] = field(default=())
 
 
+def _euler_node(
+    spec: SdeSpec,
+    space: WienerSpace,
+    partition: Partition,
+    r: int,
+    base: Sequence[GrassmannElement],
+    prev: Sequence[GrassmannElement],
+) -> tuple[GrassmannElement, ...]:
+    """Node r of the step map: base + dt * A(prev) + sum_a dbeta^a C_{., a}(prev).
+
+    The coefficients are evaluated at ``prev``, the node r-1 value they
+    are integrated against; ``base`` is the node r-1 value being advanced.
+    The sweep passes the same node twice, a Picard pass its new and its
+    previous iterate.
+    """
+    dt = partition.delta(r)
+    increments = space.increment_elements(r)
+    drift_vals = [a(*prev) for a in spec.drift]
+    diff_vals = [[cfun(*prev) for cfun in row] for row in spec.diffusion]
+    return tuple(
+        base[i] + dt * drift_vals[i] + space.noise(increments, diff_vals[i])
+        for i in range(spec.dimension)
+    )
+
+
+def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> AdaptedProcess:
+    """The grid solution of the SDE by one forward Euler sweep.
+
+    Node 0 is ``spec.initial`` and node r is node r-1 advanced by the
+    left-endpoint step, whose coefficients depend on node r-1 only.  This
+    is the exact fixed point of the integral map that ``picard_solve``
+    iterates.
+    """
+    if spec.brownian_dimension != space.m:
+        raise ValueError("diffusion width must match the Brownian dimension")
+    nodes = [tuple(spec.initial)]
+    for r in range(1, partition.steps + 1):
+        nodes.append(_euler_node(spec, space, partition, r, nodes[-1], nodes[-1]))
+    return AdaptedProcess(space, partition, tuple(nodes))
+
+
 def picard_solve(
     spec: SdeSpec,
     space: WienerSpace,
@@ -235,15 +283,19 @@ def picard_solve(
     initial_guess: Sequence[Sequence[GrassmannElement]] | None = None,
     compute_mu: bool = False,
 ) -> PicardResult:
-    """Iterate the integral map of the SDE to its exact grid fixed point.
+    """Iterate the integral map of the SDE towards its grid fixed point.
 
-    Each pass rebuilds the process from the previous iterate's integrands;
-    with polynomial coefficients the iterates become stationary (elementwise
-    identical) once the iteration count passes the reachable depth, which
-    is at most the number of grid steps; the loop stops after ``steps + 2``
-    passes.  ``differences`` records the total coefficient movement per pass
-    and hits exactly zero at stationarity; ``compute_mu`` adds the
-    final-node moment gap per pass.
+    Each pass rebuilds the process from the previous iterate's integrands.
+    ``differences`` records the summed coefficient movement of each pass,
+    after the absolute 1e-14 prune (``algebra.PRUNE``) of every difference.
+    The loop stops at the first pass whose movement is 0.0, and after
+    ``steps + 2`` passes in any case; with polynomial coefficients the
+    movement reaches 0.0 once the pass count passes the reachable depth,
+    at most the number of grid steps.  Movements below the prune do not
+    count, so the last iterate is not always elementwise identical to the
+    exact grid fixed point that ``solve_sde`` computes: it can differ by
+    coefficients of about 1e-16.  ``compute_mu`` adds the final-node moment
+    gap per pass.
     """
     if spec.brownian_dimension != space.m:
         raise ValueError("diffusion width must match the Brownian dimension")
@@ -266,16 +318,7 @@ def picard_solve(
     for k in range(1, steps + 3):
         nxt: list[tuple[GrassmannElement, ...]] = [tuple(spec.initial)]
         for r in range(1, steps + 1):
-            dt = partition.delta(r)
-            increments = space.increment_elements(r)
-            prev_node = current[r - 1]
-            drift_vals = [a(*prev_node) for a in spec.drift]
-            diff_vals = [[cfun(*prev_node) for cfun in row] for row in spec.diffusion]
-            node = tuple(
-                nxt[r - 1][i] + dt * drift_vals[i] + space.noise(increments, diff_vals[i])
-                for i in range(spec.dimension)
-            )
-            nxt.append(node)
+            nxt.append(_euler_node(spec, space, partition, r, nxt[r - 1], current[r - 1]))
         moved = sum(
             (x - y).norm() for old, new in zip(current, nxt) for x, y in zip(old, new)
         )

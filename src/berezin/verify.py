@@ -51,13 +51,13 @@ from .stochastic import (
     AdaptedMatrix,
     ItoProcess,
     MixedPolynomial,
-    PicardResult,
     SdeSpec,
     integration_by_parts_residual,
     isometry_residual,
     ito_formula_residual,
     ito_integral,
     picard_solve,
+    solve_sde,
     time_integral,
     brownian_process,
     AdaptedProcess,
@@ -447,12 +447,13 @@ def ou_drift_spec(rate: float, noise: float, start: Sequence[GrassmannElement]) 
 
 def ou_second_moment(
     rate: float, noise: float, partition: Partition
-) -> tuple[complex, PicardResult]:
-    """E[zeta1 zeta2] at the final node of the OU solution from the zero start."""
+) -> tuple[complex, AdaptedProcess]:
+    """E[zeta1 zeta2] at the final node of the OU solution from the zero start,
+    and that solution."""
     space = WienerSpace(2)
-    result = picard_solve(ou_drift_spec(rate, noise, (ZERO, ZERO)), space, partition)
-    final = result.process.final
-    return complex(BrownianMotion(space, partition).expect(final[0] * final[1])), result
+    solution = solve_sde(ou_drift_spec(rate, noise, (ZERO, ZERO)), space, partition)
+    final = solution.final
+    return complex(BrownianMotion(space, partition).expect(final[0] * final[1])), solution
 
 
 def sde_suite() -> list[Check]:
@@ -471,10 +472,10 @@ def sde_suite() -> list[Check]:
         start,
     )
     partition = Partition.uniform(1.0, 5)
-    solved = picard_solve(identity_spec, space, partition)
+    solved = solve_sde(identity_spec, space, partition)
     path = brownian_process(space, partition)
     trivial = max(
-        (solved.process.values[r][i] - (start[i] + path.values[r][i])).norm()
+        (solved.values[r][i] - (start[i] + path.values[r][i])).norm()
         for r in range(partition.steps + 1)
         for i in range(2)
     )
@@ -483,10 +484,14 @@ def sde_suite() -> list[Check]:
     grids = (8, 16, 32, 64)
     values = []
     final_moves = []
+    zero_start = ou_drift_spec(1.0, 1.0, (ZERO, ZERO))
     for steps in grids:
-        value, result = ou_second_moment(1.0, 1.0, Partition.uniform(1.0, steps))
+        partition = Partition.uniform(1.0, steps)
+        value, solution = ou_second_moment(1.0, 1.0, partition)
         values.append(value)
-        final_moves.append(result.differences[-1])
+        # one Picard pass from the sweep solution must not move it at all
+        again = picard_solve(zero_start, space, partition, initial_guess=solution.values)
+        final_moves.append(again.differences[0])
     limit = 0.5 * (1 - np.exp(-2.0))
     errors = [abs(v - limit) for v in values]
     checks.append(Check("OU moment first-order refinement", ratio_deviation(errors, grids), RATIO_SLACK))
@@ -517,7 +522,7 @@ def sde_suite() -> list[Check]:
     grids = (8, 16, 32)
     for steps in grids:
         part = Partition.uniform(1.0, steps)
-        solution = picard_solve(spec, space, part).process
+        solution = solve_sde(spec, space, part)
         ou_proc = ItoProcess.from_sde_solution(spec, space, part, solution)
         deterministic = ItoProcess.deterministic(
             space, part, lambda t: np.exp(rate * t), lambda t: rate * np.exp(rate * t)

@@ -318,18 +318,20 @@ class BrownianMotion:
     def expect_element(self, functional: GrassmannElement) -> GrassmannElement:
         return self._expect_sequential(functional)
 
-    def _check_slices(self, functional: GrassmannElement) -> None:
-        for family, slice_index in functional.blocks():
-            if family == int(Family.INCREMENT) and not (
-                1 <= slice_index <= self.partition.steps
-            ):
+    def _check_slices(self, functional: GrassmannElement) -> set[int]:
+        """The increment slices the functional references, all declared."""
+        slices = {s for family, s in functional.blocks() if family == int(Family.INCREMENT)}
+        for slice_index in slices:
+            if not 1 <= slice_index <= self.partition.steps:
                 raise ValueError(f"functional references undeclared slice {slice_index}")
+        return slices
 
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:
-        self._check_slices(functional)
+        # Integrating a slice never adds another, but may prune one away.
+        referenced = self._check_slices(functional)
         current = functional
         for r in range(self.partition.steps, 0, -1):
-            if (int(Family.INCREMENT), r) not in current.blocks():
+            if r not in referenced or not current.touches((int(Family.INCREMENT), r)):
                 continue  # the slice density integrates to one
             density = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
             current = _integrate_slice(current, density)

@@ -42,6 +42,7 @@ from berezin.stochastic import (
     ito_formula_residual,
     ito_integral,
     picard_solve,
+    solve_sde,
 )
 from berezin.verify import random_element
 from berezin.wiener import (
@@ -204,9 +205,9 @@ def test_criterion_3_ito_suite():
         if state_dependent:
             key = partition.nodes
             if key not in solutions:
-                solutions[key] = picard_solve(
+                solutions[key] = solve_sde(
                     ou_spec(start=(gen(aux(1)), gen(aux(2)))), SPACE, partition
-                ).process
+                )
             zeta = solutions[key]
 
             def entry(r):
@@ -262,7 +263,7 @@ def test_criterion_4_sde_suite():
     growth_times_first = MixedPolynomial(1, 2, {((1,), (1,)): 1.0})
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = picard_solve(spec, SPACE, partition).process
+        solution = solve_sde(spec, SPACE, partition)
         stochastic_part = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
         deterministic = ItoProcess.deterministic(
             SPACE, partition, lambda t: np.exp(t), lambda t: np.exp(t)

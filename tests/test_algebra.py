@@ -177,6 +177,18 @@ def test_substitution_is_a_homomorphism_for_odd_images():
 def test_substitution_rejects_even_images():
     with pytest.raises(ValueError):
         substitute(E1, {eta(1): scalar(1.0)})
+    with pytest.raises(ValueError):
+        substitute(E2, {eta(1): E2, eta(2): E1 * E2 + E3})
+
+
+def test_touches_agrees_with_the_block_set():
+    rng = random.Random(17)
+    pool = (eta(1), eta(2), increment(1, 1), increment(3, 2), aux(1))
+    blocks = [(int(g.family), g.slice) for g in pool] + [(int(Family.INCREMENT), 2)]
+    for _ in range(50):
+        a = random_element(rng, pool)
+        for block in blocks:
+            assert a.touches(block) == (block in a.blocks())
 
 
 def test_scalar_mixing_and_division():

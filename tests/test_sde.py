@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berezin.algebra import ZERO, aux, gen, scalar
+from berezin.algebra import PRUNE, ZERO, aux, gen, scalar
 from berezin.calculus import SupersmoothFunction
 from berezin.feynman_kac import state_variables
 from berezin.stochastic import (
@@ -12,8 +14,9 @@ from berezin.stochastic import (
     integration_by_parts_residual,
     ito_formula_residual,
     picard_solve,
+    solve_sde,
 )
-from berezin.verify import ratio_deviation
+from berezin.verify import ou_second_moment, ratio_deviation
 from berezin.wiener import BrownianMotion, Partition, WienerSpace
 
 SPACE = WienerSpace(2)
@@ -104,9 +107,9 @@ def test_ou_mean_matches_the_discrete_decay_and_its_limit():
     rate = 1.0
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        result = picard_solve(ou_spec(rate=rate), SPACE, partition)
+        solution = solve_sde(ou_spec(rate=rate), SPACE, partition)
         motion = BrownianMotion(SPACE, partition)
-        mean = motion.expect_element(result.process.final[0])
+        mean = motion.expect_element(solution.final[0])
         discrete = (1 - rate / steps) ** steps  # the exact grid decay factor
         assert (mean - discrete * XI[0]).norm() <= 1e-12
         assert (mean - np.exp(-rate) * XI[0]).norm() <= 2.0 / steps
@@ -116,9 +119,9 @@ def test_ou_second_moment_refines_to_the_closed_value():
     values = []
     for steps in (8, 16, 32, 64):
         partition = Partition.uniform(1.0, steps)
-        result = picard_solve(ou_spec(start=(ZERO, ZERO)), SPACE, partition)
+        final = solve_sde(ou_spec(start=(ZERO, ZERO)), SPACE, partition).final
         motion = BrownianMotion(SPACE, partition)
-        values.append(complex(motion.expect(result.process.final[0] * result.process.final[1])))
+        values.append(complex(motion.expect(final[0] * final[1])))
     limit = (1 - np.exp(-2.0)) / 2
     errors = [abs(v - limit) for v in values]
     assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
@@ -129,7 +132,7 @@ def test_ou_second_moment_refines_to_the_closed_value():
 def test_linear_functions_of_stochastic_integrals_telescope_exactly():
     partition = Partition.uniform(1.0, 4)
     spec = ou_spec()
-    solution = picard_solve(spec, SPACE, partition).process
+    solution = solve_sde(spec, SPACE, partition)
     process = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
     linear = MixedPolynomial(0, 2, {((), (1,)): 1.0, ((), (2,)): -2.0})
     assert ito_formula_residual(linear, process) <= 1e-12
@@ -138,7 +141,7 @@ def test_linear_functions_of_stochastic_integrals_telescope_exactly():
 def test_product_rule_residual_vanishes_for_constant_integrands():
     partition = Partition.uniform(1.0, 4)
     spec = zero_drift_spec()
-    solution = picard_solve(spec, SPACE, partition).process
+    solution = solve_sde(spec, SPACE, partition)
     process = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
     assert integration_by_parts_residual(process) <= 1e-12
 
@@ -147,7 +150,7 @@ def test_product_rule_residual_halves_for_the_linear_drift():
     errors = []
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = picard_solve(ou_spec(), SPACE, partition).process
+        solution = solve_sde(ou_spec(), SPACE, partition)
         process = ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution)
         errors.append(integration_by_parts_residual(process))
     assert errors[0] > 1e-3  # a genuine first-order gap, not noise
@@ -161,7 +164,7 @@ def test_exponential_bracket_cancellation_for_the_linear_drift():
     norms = []
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = picard_solve(ou_spec(rate=rate), SPACE, partition).process
+        solution = solve_sde(ou_spec(rate=rate), SPACE, partition)
         motion = BrownianMotion(SPACE, partition)
         value = motion.expect_element(np.exp(rate) * solution.final[0]) - XI[0]
         norms.append(value.norm())
@@ -176,7 +179,7 @@ def test_change_of_variables_residual_halves_with_a_deterministic_factor():
     errors = []
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = picard_solve(spec, SPACE, partition).process
+        solution = solve_sde(spec, SPACE, partition)
         stochastic_part = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
         deterministic = ItoProcess.deterministic(
             SPACE, partition, lambda t: np.exp(rate * t), lambda t: rate * np.exp(rate * t)
@@ -203,3 +206,56 @@ def test_state_dependent_quadratic_diffusion_is_accepted():
     from berezin.algebra import Parity
 
     assert set(parities) <= {Parity.ODD}
+
+
+def _coefficient_gap(x, y):
+    """Largest coefficient difference of two elements, with no pruning."""
+    a, b = dict(x.items()), dict(y.items())
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
+
+
+UNIFORM_STEPS = (4, 8, 12, 16, 24, 32, 64)
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [Partition.uniform(1.0, n) for n in UNIFORM_STEPS]
+    + [Partition((0.0, 0.1, 0.35, 0.4, 0.8, 0.95, 1.3))],
+    ids=[f"N{n}" for n in UNIFORM_STEPS] + ["nonuniform"],
+)
+@pytest.mark.parametrize("start", [(ZERO, ZERO), XI], ids=["zero-start", "aux-start"])
+def test_the_sweep_is_the_picard_fixed_point(partition, start):
+    spec = ou_spec(start=start)
+    swept = solve_sde(spec, SPACE, partition)
+    iterated = picard_solve(spec, SPACE, partition)
+    assert iterated.differences[-1] == 0.0
+    gap = max(
+        _coefficient_gap(a, b)
+        for va, vb in zip(swept.values, iterated.process.values)
+        for a, b in zip(va, vb)
+    )
+    assert gap <= PRUNE
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    rate=st.floats(0.1, 2.0),
+    noise=st.floats(0.2, 2.0),
+    t=st.floats(0.1, 2.0),
+    steps=st.integers(1, 32),
+)
+def test_ou_second_moment_is_the_discrete_geometric_sum(rate, noise, t, steps):
+    dt = t / steps
+    exact = noise**2 * dt * sum((1 - rate * dt) ** (2 * k) for k in range(steps))
+    value, _ = ou_second_moment(rate, noise, Partition.uniform(t, steps))
+    assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def test_one_picard_pass_leaves_the_sweep_unchanged():
+    for start in ((ZERO, ZERO), XI):
+        spec = ou_spec(start=start)
+        partition = Partition.uniform(1.0, 16)
+        swept = solve_sde(spec, SPACE, partition)
+        again = picard_solve(spec, SPACE, partition, initial_guess=swept.values)
+        assert again.stationary_depth == 1
+        assert again.differences == (0.0,)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berezin.algebra import ONE, ZERO, GrassmannElement, aux, eta, gen, increment, multi_index
+from berezin.algebra import ONE, ZERO, Family, GrassmannElement, aux, eta, gen, increment, multi_index
 from berezin.calculus import SupersmoothFunction, berezin_integrate, compose_kernels
 from berezin.wiener import (
     JOINT_CAP,
@@ -257,6 +257,40 @@ def test_sequential_engine_matches_joint_mode_on_random_grids(case):
     motion, functional = case
     gap = motion.expect_element(functional) - motion._expect_joint(functional)
     assert gap.norm() <= 1e-12
+
+
+@st.composite
+def pruned_functionals(draw):
+    """Random functionals over the increments of up to five slices and two
+    auxiliary generators, some coefficients so small that integrating a
+    later slice prunes them, and with them every term of an earlier slice.
+    Some functionals hold no increment: their signed zeros survive only if
+    every slice is skipped."""
+    rng = draw(st.randoms(use_true_random=False))
+    steps = rng.randint(1, 5)
+    motion = BrownianMotion(SPACE, Partition.uniform(rng.choice((1e-3, 1.0)), steps))
+    pool = [aux(1), aux(2)]
+    if rng.random() < 0.8:
+        pool += [g for r in range(1, steps + 1) for g in SPACE.increment_ids(r)]
+    terms = {}
+    for _ in range(rng.randint(1, 10)):
+        gens = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        scale = rng.choice((1.0, 1e-12, 2e-14))
+        imag = rng.choice((scale * rng.uniform(-1, 1), -0.0))
+        terms[multi_index(gens)] = complex(scale * rng.uniform(-1, 1), imag)
+    return motion, GrassmannElement(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pruned_functionals())
+def test_sequential_engine_skips_exactly_the_slices_no_term_touches(case):
+    motion, functional = case
+    want = functional  # skip decided on the full block set of each step
+    for r in range(motion.partition.steps, 0, -1):
+        if (int(Family.INCREMENT), r) in want.blocks():
+            want = _integrate_slice(want, _slice_density(SPACE.increment_ids(r), motion.partition.delta(r)))
+    got = motion.expect_element(functional)
+    assert repr(list(got.items())) == repr(list(want.items()))  # signs of zero too
 
 
 def test_joint_mode_cap():
