@@ -286,6 +286,10 @@ class GrassmannElement:
         """Sum of coefficient magnitudes; submultiplicative under products."""
         return sum(abs(c) for c in self._terms.values())
 
+    def has_parity(self, p: Parity) -> bool:
+        """Whether the element is zero or of parity ``p``; zero counts as every parity."""
+        return not self._terms or self.parity() is p
+
     def parity(self) -> Parity:
         degrees = {index_degree(mi) & 1 for mi in self._terms}
         if degrees <= {0}:
@@ -479,7 +483,7 @@ def _odd_images(
     """The images of a substitution map, each checked to be odd (or zero)."""
     images: dict[GeneratorId, GrassmannElement] = {}
     for g, value in mapping.items():
-        if not value.is_zero() and value.parity() is not Parity.ODD:
+        if not value.has_parity(Parity.ODD):
             raise ValueError(f"substitution image for {g} must be odd, got {value.parity().value}")
         images[g] = value
     return images

@@ -138,7 +138,7 @@ def taylor_residual(
     if len(base) != n or len(shift) != n:
         raise ValueError("base and shift must match the function dimension")
     for value in (*base, *shift):
-        if not value.is_zero() and value.parity() is not Parity.ODD:
+        if not value.has_parity(Parity.ODD):
             raise ValueError("base and shift entries must be odd elements")
 
     lhs = f(*[b + s for b, s in zip(base, shift)])

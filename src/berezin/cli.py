@@ -40,7 +40,6 @@ from .verify import (
     RATIO_SLACK,
     Check,
     drop_round_off,
-    ou_second_moment,
     ratio_deviation,
     richardson,
     run_suite,
@@ -76,11 +75,30 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def _parse_grid_list(text: str) -> tuple[int, ...]:
-    grids = tuple(int(part) for part in text.split(","))
-    if any(n < 1 for n in grids) or any(b <= a for a, b in zip(grids, grids[1:])):
-        raise SystemExit("grid list must be strictly increasing positive integers")
-    return grids
+def _option_values(text: str, convert, valid, rule: str) -> tuple:
+    """argparse type check: every comma-separated part converts and ``valid`` accepts them all."""
+    try:
+        values = tuple(convert(part) for part in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or not valid(values):
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return values
+
+
+def _grid_list(text: str) -> tuple[int, ...]:
+    rule = "grid list must be strictly increasing positive integers"
+    return _option_values(text, int, lambda n: n[0] >= 1 and all(b > a for a, b in zip(n, n[1:])), rule)
+
+
+def _time_list(text: str) -> tuple[float, ...]:
+    rule = "times must be positive finite numbers"
+    return _option_values(text, float, lambda times: all(0 < t < np.inf for t in times), rule)
+
+
+def _brownian_dimension(text: str) -> int:
+    rule = "the Brownian dimension must be a positive even integer"
+    return _option_values(text, int, lambda m: len(m) == 1 and m[0] >= 2 and m[0] % 2 == 0, rule)[0]
 
 
 def _check_json(check: Check) -> dict:
@@ -122,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_kernel(args: argparse.Namespace) -> int:
     name = args.hamiltonian
     params = {k: float(getattr(args, k)) for k in PARAMS}
-    grids = _parse_grid_list(str(args.n))
+    grids = args.n
     tol = float(args.tol)
     t = params.pop("t")
 
@@ -186,39 +204,32 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 # -- converge -------------------------------------------------------------
 
 
-# Tracked quantities and the order in N^-1 at which their grid values converge
+# Tracked quantities: the example Hamiltonian evolving x1 x2, the monomial whose
+# coefficient is read off the image (() reads its value at the zero start, for ou
+# E[zeta1 zeta2]), and the order in N^-1 of the grid values' convergence
 # (oscillator_c0: difference ratio 3.99 over N = 8...64).
-QUANTITIES = {"ou_xx": 1, "oscillator_c0": 2, "flat_c0": 1, "quartic_xx": 1}
+QUANTITIES = {
+    "ou_xx": ("ou", (), 1),
+    "oscillator_c0": ("oscillator", (), 2),
+    "flat_c0": ("flat", (), 1),
+    "quartic_xx": ("quartic", state_variables(2), 1),
+}
 
 
 def _tracked_value(quantity: str, params: dict, steps: int) -> complex:
-    partition = Partition.uniform(params["t"], steps)
-    if quantity == "ou_xx":
-        return ou_second_moment(params["r"], params["c"], partition)[0]
-    variables = state_variables(2)
-    top = gen(variables[0]) * gen(variables[1])
-    h = example_hamiltonian(
-        {"oscillator_c0": "oscillator", "flat_c0": "flat", "quartic_xx": "quartic"}[quantity],
-        r=params["r"],
-        c=params["c"],
-        b=params["b"],
-        lam=params["lam"],
-    )
-    image = fk_evolve(h, top, partition)
-    if quantity == "quartic_xx":
-        return image.coefficient(variables)
-    return image.constant
+    name, slot, _ = QUANTITIES[quantity]
+    h = example_hamiltonian(name, r=params["r"], c=params["c"], b=params["b"], lam=params["lam"])
+    top = gen(h.variables[0]) * gen(h.variables[1])
+    return fk_evolve(h, top, Partition.uniform(params["t"], steps)).coefficient(slot)
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
     quantity = args.quantity
-    if quantity not in QUANTITIES:
-        raise SystemExit(f"unknown quantity {quantity!r}; choose from {tuple(QUANTITIES)}")
     params = {k: float(getattr(args, k)) for k in PARAMS}
-    grids = _parse_grid_list(str(args.n))
+    grids = args.n
 
     values = [_tracked_value(quantity, params, n) for n in grids]
-    extrapolate = richardson(grids, values, QUANTITIES[quantity])
+    extrapolate = richardson(grids, values, QUANTITIES[quantity][2])
     rows = [
         (n, params["t"] / n, quantity, v.real, v.imag, abs(v - extrapolate))
         for n, v in zip(grids, values)
@@ -248,14 +259,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    times = tuple(float(part) for part in str(args.times).split(","))
-    if any(t <= 0 for t in times):
-        raise SystemExit("times must be positive")
-    rows = brownian_moment_rows(WienerSpace(int(args.m)), times)
+    rows = brownian_moment_rows(WienerSpace(args.m), args.times)
     if args.format == "json":
         payload = {
             "command": "moments",
-            "m": int(args.m),
+            "m": args.m,
             "rows": [
                 {"time": t, "monomial": mono, "re": re, "im": im} for t, mono, re, im in rows
             ],
@@ -295,7 +303,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "kernel", parents=[io_options, hamiltonian_options], help="evolution kernel vs oracle and closed form"
     )
     p_kernel.add_argument("hamiltonian", choices=EXAMPLE_NAMES)
-    p_kernel.add_argument("--n", default="16", help="comma-separated grid sizes")
+    p_kernel.add_argument("--n", type=_grid_list, default="16", help="comma-separated grid sizes")
     p_kernel.add_argument("--tol", type=float, default=1e-9)
     p_kernel.add_argument("--format", choices=("json", "csv"), default="json")
     p_kernel.set_defaults(func=cmd_kernel)
@@ -304,13 +312,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "converge", parents=[io_options, hamiltonian_options], help="refinement table with a Richardson extrapolate"
     )
     p_conv.add_argument("--quantity", choices=tuple(QUANTITIES), default="ou_xx")
-    p_conv.add_argument("--n", default="8,16,32,64", help="comma-separated grid sizes")
+    p_conv.add_argument("--n", type=_grid_list, default="8,16,32,64", help="comma-separated grid sizes")
     p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_conv.set_defaults(func=cmd_converge)
 
     p_mom = sub.add_parser("moments", parents=[io_options], help="low-order path moments as a table")
-    p_mom.add_argument("--times", default="0.25,0.5,1.0", help="comma-separated positive times")
-    p_mom.add_argument("--m", type=int, default=2)
+    p_mom.add_argument("--times", type=_time_list, default="0.25,0.5,1.0", help="comma-separated positive times")
+    p_mom.add_argument("--m", type=_brownian_dimension, default=2)
     p_mom.add_argument("--format", choices=("csv", "json"), default="csv")
     p_mom.set_defaults(func=cmd_moments)
 

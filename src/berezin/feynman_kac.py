@@ -2,16 +2,18 @@
 
 A Hamiltonian H = (1/2) g^{kj} d_j d_k + i alpha^j d_j + v acts on
 functions of n anticommuting state variables, with g^{kj} the pairing
-contraction e^{ab} c^k_b c^j_a of even diffusion fields.  Three routes to
-exp(-H t) live here and check each other:
+contraction e^{ab} c^k_b c^j_a of even diffusion fields.  Its SDE,
+d zeta = dt A(zeta) + dbeta^a c_a(zeta) with A = -i alpha, is built once by
+``sde_spec``.  Three routes to exp(-H t) live here and check each other:
 
 * ``semigroup_oracle``: the dense matrix exponential on the monomial
   basis, the arbiter of truth;
-* ``fk_evolve``: the probabilistic route, an Euler step per time slice
-  with the potential accumulated as a multiplicative weight, evaluated as
-  a one-slice transfer operator so only n + m generators are ever live;
-* ``fk_bruteforce``: the same expectation with every slice kept live,
-  for small grids, validating the transfer-operator contraction.
+* ``fk_evolve``: the probabilistic route, one Euler step of the SDE per
+  time slice (the step of ``solve_sde``) with the potential accumulated as
+  a multiplicative weight, evaluated as a one-slice transfer operator so
+  only n + m generators are ever live;
+* ``fk_bruteforce``: the forward route, ``solve_sde`` with every slice
+  kept live, for small grids, validating the transfer-operator contraction.
 
 Reference closed-form kernels of the bundled example Hamiltonians allow
 coefficientwise comparison against the oracle.  The quartic example's
@@ -43,6 +45,7 @@ from .algebra import (
     _substitute_odd,
 )
 from .calculus import SupersmoothFunction, derivative_element, grassmann_delta
+from .stochastic import SdeSpec, _euler_step, solve_sde
 from .wiener import (
     JOINT_CAP,
     BrownianMotion,
@@ -66,6 +69,7 @@ __all__ = [
     "matrix_apply",
     "element_coordinates",
     "element_from_coordinates",
+    "sde_spec",
     "fk_evolve",
     "fk_operator",
     "fk_bruteforce",
@@ -113,15 +117,12 @@ class HamiltonianSpec:
             raise ValueError("drift and diffusion must have n components")
         if any(len(row) != self.m for row in self.diffusion_fields):
             raise ValueError("diffusion rows must have m entries")
-        if not self.potential.is_zero() and self.potential.parity() is not Parity.EVEN:
+        if not self.potential.has_parity(Parity.EVEN):
             raise ValueError("the potential must be even")
-        for a in self.drift_fields:
-            if not a.is_zero() and a.parity() is not Parity.ODD:
-                raise ValueError("drift fields must be odd")
-        for row in self.diffusion_fields:
-            for c in row:
-                if not c.is_zero() and c.parity() is not Parity.EVEN:
-                    raise ValueError("diffusion fields must be even")
+        if not all(a.has_parity(Parity.ODD) for a in self.drift_fields):
+            raise ValueError("drift fields must be odd")
+        if not all(c.has_parity(Parity.EVEN) for row in self.diffusion_fields for c in row):
+            raise ValueError("diffusion fields must be even")
 
     def second_order_coefficient(self, k: int, j: int, space: WienerSpace) -> GrassmannElement:
         """g^{kj} = e^{ab} c^k_b c^j_a, 0-based k and j."""
@@ -259,42 +260,40 @@ def matrix_apply(op: OperatorMatrix, f: GrassmannElement) -> GrassmannElement:
 # -- the probabilistic route -------------------------------------------
 
 
-def _euler_state(
-    current: Sequence[GrassmannElement],
-    drift_vals: Sequence[GrassmannElement],
-    diffusion_vals: Sequence[Sequence[GrassmannElement]],
-    increments: Sequence[GrassmannElement],
-    dt: float,
-) -> tuple[GrassmannElement, ...]:
-    return tuple(
-        x - (1j * dt) * a + WienerSpace.noise(increments, row)
-        for x, a, row in zip(current, drift_vals, diffusion_vals)
-    )
+def sde_spec(h: HamiltonianSpec, initial: Sequence[GrassmannElement]) -> SdeSpec:
+    """The SDE of ``h``'s Feynman-Kac formula from ``initial``: drift A = -i alpha
+    and diffusion c as functions of ``h.variables`` (the potential weighs paths)."""
+    drift = tuple(SupersmoothFunction(-1j * a, h.variables) for a in h.drift_fields)
+    diffusion = tuple(tuple(SupersmoothFunction(c, h.variables) for c in row) for row in h.diffusion_fields)
+    return SdeSpec(drift, diffusion, tuple(initial))
 
 
 def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:
     """Path-expectation estimate of exp(-H t) f as a function of the start point.
 
-    One Euler step per slice: the state moves by -i dt alpha + dbeta c,
-    the potential contributes a left-endpoint weight exp(-dt v), and the
-    slice increments are integrated out immediately by the closed-form
-    pairing rule of their heat-kernel density, so the cost is linear in
-    the number of slices.  The Euler map, the weight and the density depend
-    on the slice width only, so each distinct width builds them, and checks
-    the map's images odd, once per call.  Exact in the mesh when drift and
-    potential vanish; first-order accurate otherwise.
+    One Euler step of ``sde_spec(h, x)`` per slice from the symbolic state x,
+    where the coefficients are the fields themselves: the state moves by
+    dt A + dbeta c, the potential contributes a left-endpoint weight
+    exp(-dt v), and the slice increments are integrated out at once by the
+    closed-form pairing rule of their heat-kernel density, so the cost is
+    linear in the slice count.  The Euler map, the weight and the density
+    depend on the slice width only; each distinct width builds them, and
+    checks the map's images odd, once per call.  Exact when drift and
+    potential vanish; first-order accurate in the mesh otherwise.
     """
     space = WienerSpace(h.m)
     ids = space.increment_ids(1)  # one scratch slice, integrated out per step
     increments = [gen(g) for g in ids]
     symbols = [gen(v) for v in h.variables]
+    sde = sde_spec(h, symbols)
+    drift, diffusion = [a.body for a in sde.drift], [[c.body for c in row] for row in sde.diffusion]
     by_width: dict[float, tuple] = {}
     current = f
     for r in range(partition.steps, 0, -1):
         dt = partition.delta(r)
         step = by_width.get(dt)
         if step is None:
-            stepped = _euler_state(symbols, h.drift_fields, h.diffusion_fields, increments, dt)
+            stepped = _euler_step(symbols, dt, drift, diffusion, increments)
             step = by_width[dt] = (
                 _odd_images(dict(zip(h.variables, stepped))),
                 grassmann_exp(-dt * h.potential),
@@ -311,20 +310,18 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
 
 
 def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:
-    """The same expectation with all slices live at once (small grids only)."""
+    """The same expectation on the forward route (small grids only): ``solve_sde``
+    of ``sde_spec(h, x)`` from the symbolic start x, times the left-endpoint
+    weight prod_r exp(-dt_r v(zeta_{r-1})), with every slice integrated at once."""
     if partition.steps > JOINT_CAP:
         raise ValueError(f"brute-force mode caps at {JOINT_CAP} slices, got {partition.steps}")
     space = WienerSpace(h.m)
-    state = tuple(gen(v) for v in h.variables)
+    nodes = solve_sde(sde_spec(h, [gen(v) for v in h.variables]), space, partition).values
     weight = ONE
     for r in range(1, partition.steps + 1):
-        dt = partition.delta(r)
-        here = dict(zip(h.variables, state))
-        weight = weight * grassmann_exp(-dt * substitute(h.potential, here))
-        drift_vals = [substitute(a, here) for a in h.drift_fields]
-        diffusion_vals = [[substitute(c, here) for c in row] for row in h.diffusion_fields]
-        state = _euler_state(state, drift_vals, diffusion_vals, space.increment_elements(r), dt)
-    functional = weight * substitute(f, dict(zip(h.variables, state)))
+        here = dict(zip(h.variables, nodes[r - 1]))
+        weight = weight * grassmann_exp(-partition.delta(r) * substitute(h.potential, here))
+    functional = weight * substitute(f, dict(zip(h.variables, nodes[-1])))
     return BrownianMotion(space, partition).expect_element(functional)
 
 

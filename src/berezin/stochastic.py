@@ -10,7 +10,9 @@ SDEs are solved by ``solve_sde``, one forward Euler sweep: the
 left-endpoint scheme is explicit, so node r follows from node r-1 and the
 sweep is the unique grid solution.  ``picard_solve`` iterates the same
 step map and stays for the checks that are about the iteration itself
-(uniqueness from two seeds, moment-gap diagnostics, stationarity).
+(uniqueness from two seeds, moment-gap diagnostics, stationarity).  The
+step itself, ``_euler_step``, is also the slice map of
+``feynman_kac.fk_evolve``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .algebra import (
     GrassmannElement,
     Parity,
     ZERO,
+    _odd_images,
+    _substitute_odd,
 )
 from .calculus import SupersmoothFunction
 from .wiener import BrownianMotion, Partition, RandomVariable, WienerSpace, mu_distance
@@ -207,16 +211,12 @@ class SdeSpec:
         widths = {len(row) for row in self.diffusion}
         if len(widths) != 1:
             raise ValueError("diffusion rows must have equal width")
-        for a in self.drift:
-            if not a.body.is_zero() and a.body.parity() is not Parity.ODD:
-                raise ValueError("drift components must be odd")
-        for row in self.diffusion:
-            for cfun in row:
-                if not cfun.body.is_zero() and cfun.body.parity() is not Parity.EVEN:
-                    raise ValueError("diffusion entries must be even")
-        for x in self.initial:
-            if not x.is_zero() and x.parity() is not Parity.ODD:
-                raise ValueError("initial values must be odd")
+        if not all(a.body.has_parity(Parity.ODD) for a in self.drift):
+            raise ValueError("drift components must be odd")
+        if not all(cfun.body.has_parity(Parity.EVEN) for row in self.diffusion for cfun in row):
+            raise ValueError("diffusion entries must be even")
+        if not all(x.has_parity(Parity.ODD) for x in self.initial):
+            raise ValueError("initial values must be odd")
 
     @property
     def dimension(self) -> int:
@@ -235,28 +235,40 @@ class PicardResult:
     mu_diagnostics: tuple[float, ...] = field(default=())
 
 
-def _euler_node(
-    spec: SdeSpec,
-    space: WienerSpace,
-    partition: Partition,
-    r: int,
-    base: Sequence[GrassmannElement],
-    prev: Sequence[GrassmannElement],
-) -> tuple[GrassmannElement, ...]:
-    """Node r of the step map: base + dt * A(prev) + sum_a dbeta^a C_{., a}(prev).
+Node = Sequence[GrassmannElement]  # the components of a process at one node
 
-    The coefficients are evaluated at ``prev``, the node r-1 value they
-    are integrated against; ``base`` is the node r-1 value being advanced.
-    The sweep passes the same node twice, a Picard pass its new and its
-    previous iterate.
-    """
-    dt = partition.delta(r)
-    increments = space.increment_elements(r)
-    drift_vals = [a(*prev) for a in spec.drift]
-    diff_vals = [[cfun(*prev) for cfun in row] for row in spec.diffusion]
+
+def _coefficients_at(spec: SdeSpec, node: Node) -> tuple[Node, Sequence[Node]]:
+    """Drift and diffusion values at one node, whose components are checked odd once."""
+
+    def at(f: SupersmoothFunction) -> GrassmannElement:
+        if len(f.variables) != len(node):
+            raise ValueError(f"expected {len(f.variables)} values, got {len(node)}")
+        return _substitute_odd(f.body, dict(zip(f.variables, node)))
+
+    _odd_images(dict(zip(spec.drift[0].variables, node)))
+    return tuple(at(a) for a in spec.drift), tuple(tuple(at(c) for c in row) for row in spec.diffusion)
+
+
+def _euler_step(
+    base: Node, dt: float, drift_vals: Node, diffusion_vals: Sequence[Node], increments: Node
+) -> tuple[GrassmannElement, ...]:
+    """The left-endpoint Euler step base + dt * A + sum_a dbeta^a C_{., a},
+    componentwise, for coefficient values A and C already evaluated."""
     return tuple(
-        base[i] + dt * drift_vals[i] + space.noise(increments, diff_vals[i])
-        for i in range(spec.dimension)
+        x + dt * a + WienerSpace.noise(increments, row)
+        for x, a, row in zip(base, drift_vals, diffusion_vals)
+    )
+
+
+def _euler_node(
+    spec: SdeSpec, space: WienerSpace, partition: Partition, r: int, base: Node, prev: Node
+) -> tuple[GrassmannElement, ...]:
+    """Node r of the step map: ``base`` advanced by the step whose
+    coefficients are evaluated at ``prev``.  The sweep passes node r-1
+    twice, a Picard pass its new and its previous iterate."""
+    return _euler_step(
+        base, partition.delta(r), *_coefficients_at(spec, prev), space.increment_elements(r)
     )
 
 
@@ -357,12 +369,10 @@ class MixedPolynomial:
     ) -> GrassmannElement:
         if len(evens) != self.even_count or len(odds) != self.odd_count:
             raise ValueError("argument counts must match the variable counts")
-        for x in evens:
-            if not x.is_zero() and x.parity() is not Parity.EVEN:
-                raise ValueError("even slots take even elements")
-        for x in odds:
-            if not x.is_zero() and x.parity() is not Parity.ODD:
-                raise ValueError("odd slots take odd elements")
+        if not all(x.has_parity(Parity.EVEN) for x in evens):
+            raise ValueError("even slots take even elements")
+        if not all(x.has_parity(Parity.ODD) for x in odds):
+            raise ValueError("odd slots take odd elements")
         total = ZERO
         for (exps, odd_indices), coeff in self.terms.items():
             term = GrassmannElement.from_scalar(coeff)
@@ -434,14 +444,7 @@ class ItoProcess:
     def from_sde_solution(
         cls, spec: SdeSpec, space: WienerSpace, partition: Partition, solution: AdaptedProcess
     ) -> "ItoProcess":
-        drift = tuple(
-            tuple(a(*solution.values[r]) for a in spec.drift)
-            for r in range(partition.steps)
-        )
-        diffusion = tuple(
-            tuple(tuple(cfun(*solution.values[r]) for cfun in row) for row in spec.diffusion)
-            for r in range(partition.steps)
-        )
+        drift, diffusion = zip(*(_coefficients_at(spec, solution.values[r]) for r in range(partition.steps)))
         return cls(space, partition, 0, solution.values, drift, diffusion)
 
     @classmethod

@@ -26,6 +26,7 @@ from .algebra import (
     grassmann_exp,
     monomial,
     scalar,
+    substitute,
 )
 from .calculus import (
     SupersmoothFunction,
@@ -44,6 +45,7 @@ from .feynman_kac import (
     matrix_apply,
     closed_form_kernel,
     oracle_kernel,
+    sde_spec,
     semigroup_oracle,
     state_variables,
 )
@@ -51,7 +53,6 @@ from .stochastic import (
     AdaptedMatrix,
     ItoProcess,
     MixedPolynomial,
-    SdeSpec,
     integration_by_parts_residual,
     isometry_residual,
     ito_formula_residual,
@@ -79,7 +80,6 @@ __all__ = [
     "SUITE_NAMES",
     "random_element",
     "richardson",
-    "ou_second_moment",
 ]
 
 SUITE_NAMES = ("algebra", "wiener", "ito", "sde", "fk")
@@ -435,42 +435,14 @@ def ito_suite(seed: int = 2024) -> list[Check]:
 # -- sde ----------------------------------------------------------------
 
 
-def ou_drift_spec(rate: float, noise: float, start: Sequence[GrassmannElement]) -> SdeSpec:
-    sv = state_variables(2)
-    drift = tuple(SupersmoothFunction(-rate * gen(sv[i]), sv) for i in range(2))
-    diffusion = tuple(
-        tuple(SupersmoothFunction(scalar(noise) if i == a else ZERO, sv) for a in range(2))
-        for i in range(2)
-    )
-    return SdeSpec(drift, diffusion, tuple(start))
-
-
-def ou_second_moment(
-    rate: float, noise: float, partition: Partition
-) -> tuple[complex, AdaptedProcess]:
-    """E[zeta1 zeta2] at the final node of the OU solution from the zero start,
-    and that solution."""
-    space = WienerSpace(2)
-    solution = solve_sde(ou_drift_spec(rate, noise, (ZERO, ZERO)), space, partition)
-    final = solution.final
-    return complex(BrownianMotion(space, partition).expect(final[0] * final[1])), solution
-
-
 def sde_suite() -> list[Check]:
     checks: list[Check] = []
     space = WienerSpace(2)
     sv = state_variables(2)
     start = tuple(gen(aux(i)) for i in (1, 2))
 
-    # zero drift, identity diffusion: the solution is start + path, exactly
-    identity_spec = SdeSpec(
-        tuple(SupersmoothFunction(ZERO, sv) for _ in range(2)),
-        tuple(
-            tuple(SupersmoothFunction(scalar(1.0) if i == a else ZERO, sv) for a in range(2))
-            for i in range(2)
-        ),
-        start,
-    )
+    # the flat SDE (zero drift, identity diffusion): the solution is start + path, exactly
+    identity_spec = sde_spec(example_hamiltonian("flat"), start)
     partition = Partition.uniform(1.0, 5)
     solved = solve_sde(identity_spec, space, partition)
     path = brownian_process(space, partition)
@@ -481,14 +453,15 @@ def sde_suite() -> list[Check]:
     )
     checks.append(Check("zero-drift solution is start plus the path", trivial, EXACT))
 
+    ou = example_hamiltonian("ou")
     grids = (8, 16, 32, 64)
     values = []
     final_moves = []
-    zero_start = ou_drift_spec(1.0, 1.0, (ZERO, ZERO))
+    zero_start = sde_spec(ou, (ZERO, ZERO))
     for steps in grids:
         partition = Partition.uniform(1.0, steps)
-        value, solution = ou_second_moment(1.0, 1.0, partition)
-        values.append(value)
+        solution = solve_sde(zero_start, space, partition)
+        values.append(complex(BrownianMotion(space, partition).expect(solution.final[0] * solution.final[1])))
         # one Picard pass from the sweep solution must not move it at all
         again = picard_solve(zero_start, space, partition, initial_guess=solution.values)
         final_moves.append(again.differences[0])
@@ -501,7 +474,7 @@ def sde_suite() -> list[Check]:
     checks.append(Check("Picard iterates stationary (last movement)", max(final_moves), 0.0))
 
     # uniqueness probe: a far-off initial guess lands on the same fixed point
-    spec = ou_drift_spec(1.0, 1.0, start)
+    spec = sde_spec(ou, start)
     partition = Partition.uniform(1.0, 8)
     baseline = picard_solve(spec, space, partition)
     offset_guess = [
@@ -544,6 +517,19 @@ def sde_suite() -> list[Check]:
     mu = tracked.mu_diagnostics
     decay = 0.0 if mu[-1] == 0.0 and mu[0] >= mu[-1] else float("inf")
     checks.append(Check("Picard moment-gap diagnostics reach zero", decay, 0.0))
+
+    # on a fixed grid E[F(zeta_N)] is the transfer of F evaluated at the start
+    top = gen(sv[0]) * gen(sv[1])
+    transfer = 0.0
+    for name in ("ou", "quartic"):  # quartic: a state-dependent diffusion
+        h = example_hamiltonian(name)
+        for steps in (2, 4):
+            partition = Partition.uniform(1.0, steps)
+            final = solve_sde(sde_spec(h, start), space, partition).final
+            forward = BrownianMotion(space, partition).expect_element(final[0] * final[1])
+            backward = substitute(fk_evolve(h, top, partition), dict(zip(sv, start)))
+            transfer = max(transfer, (forward - backward).norm())
+    checks.append(Check("SDE expectation equals the Feynman-Kac transfer on the grid", transfer, EXACT))
 
     return checks
 

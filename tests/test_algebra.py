@@ -62,6 +62,14 @@ def test_parity_classification():
     assert ZERO.parity() is Parity.EVEN
 
 
+def test_zero_counts_as_both_parities():
+    for parity in (Parity.EVEN, Parity.ODD, Parity.MIXED):
+        assert ZERO.has_parity(parity)
+    assert (E1 * E2).has_parity(Parity.EVEN) and not (E1 * E2).has_parity(Parity.ODD)
+    assert E1.has_parity(Parity.ODD) and not E1.has_parity(Parity.EVEN)
+    assert not (1 + E1).has_parity(Parity.EVEN) and not (1 + E1).has_parity(Parity.ODD)
+
+
 def test_exp_of_zero_is_one():
     assert grassmann_exp(ZERO) == ONE
 

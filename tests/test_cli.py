@@ -202,3 +202,29 @@ def test_config_value_of_the_wrong_type_is_rejected(tmp_path, capsys, value):
         main(["kernel", "flat", "--n", "2", "--config", str(config)])
     assert exit_info.value.code == 2
     assert "--t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_config", (False, True), ids=("flag", "config"))
+@pytest.mark.parametrize(
+    "command, option, value",
+    (
+        (["converge"], "n", "8,x"),
+        (["kernel", "ou"], "n", "4,x"),
+        (["moments"], "times", "0.5,abc"),
+        (["moments"], "m", "3"),
+    ),
+    ids=("converge-n", "kernel-n", "moments-times", "moments-m"),
+)
+def test_malformed_option_value_exits_2_and_names_the_option(
+    tmp_path, capsys, command, option, value, via_config
+):
+    if via_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: value}))
+        argv = command + ["--config", str(config)]
+    else:
+        argv = command + [f"--{option}", value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument --{option}:" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from berezin.feynman_kac import (
     matrix_apply,
     monomial_basis,
     oracle_kernel,
+    sde_spec,
     semigroup_oracle,
     state_variables,
 )
@@ -223,6 +224,18 @@ def test_bruteforce_flat_with_several_slices_is_still_exact():
         estimate = fk_bruteforce(flat, f, partition)
         exact = apply_kernel(kernel, SupersmoothFunction(f_in, KV)).body
         assert (estimate - exact).norm() <= 1e-12
+
+
+def test_sde_spec_has_drift_minus_i_alpha_and_the_diffusion_fields():
+    h = example_hamiltonian("quartic", b=0.5, c=2.0)
+    start = (gen(aux(1)), gen(aux(2)))
+    spec = sde_spec(example_hamiltonian("ou", r=0.5, c=2.0), start)
+    assert spec.initial == start
+    assert [(a.body - (-0.5) * gen(x)).norm() for a, x in zip(spec.drift, SV)] == [0.0, 0.0]
+    assert spec.diffusion[0][0].body == scalar(2.0) and spec.diffusion[0][1].body == ZERO
+    quartic = sde_spec(h, start)
+    assert [[c.body for c in row] for row in quartic.diffusion] == [list(r) for r in h.diffusion_fields]
+    assert all(f.variables == SV for f in quartic.drift + quartic.diffusion[0] + quartic.diffusion[1])
 
 
 def test_bruteforce_slice_cap():

@@ -7,6 +7,7 @@ from berezin.algebra import PRUNE, ZERO, aux, gen, scalar
 from berezin.calculus import SupersmoothFunction
 from berezin.feynman_kac import state_variables
 from berezin.stochastic import (
+    AdaptedProcess,
     ItoProcess,
     MixedPolynomial,
     SdeSpec,
@@ -16,7 +17,8 @@ from berezin.stochastic import (
     picard_solve,
     solve_sde,
 )
-from berezin.verify import ou_second_moment, ratio_deviation
+from berezin.cli import PARAMS, _tracked_value
+from berezin.verify import ratio_deviation
 from berezin.wiener import BrownianMotion, Partition, WienerSpace
 
 SPACE = WienerSpace(2)
@@ -50,6 +52,19 @@ def test_sde_spec_parity_validation():
         SdeSpec(tuple(SupersmoothFunction(ZERO, SV) for _ in range(2)), odd_diffusion, XI)
     with pytest.raises(ValueError):
         ou_spec(start=(scalar(1.0), ZERO))
+
+
+def test_a_node_that_is_not_odd_is_rejected():
+    partition = Partition.uniform(1.0, 2)
+    even_guess = [(scalar(1.0), ZERO)] * (partition.steps + 1)
+    with pytest.raises(ValueError):
+        picard_solve(ou_spec(), SPACE, partition, initial_guess=even_guess)
+    solution = solve_sde(ou_spec(), SPACE, partition)
+    with pytest.raises(ValueError):
+        ItoProcess.from_sde_solution(
+            ou_spec(), SPACE, partition, AdaptedProcess(SPACE, partition, tuple(even_guess))
+        )
+    assert ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution).values == solution.values
 
 
 def test_zero_drift_solution_is_start_plus_path():
@@ -245,9 +260,10 @@ def test_the_sweep_is_the_picard_fixed_point(partition, start):
     steps=st.integers(1, 32),
 )
 def test_ou_second_moment_is_the_discrete_geometric_sum(rate, noise, t, steps):
+    # the value `converge --quantity ou_xx` reports, by the Feynman-Kac transfer
     dt = t / steps
     exact = noise**2 * dt * sum((1 - rate * dt) ** (2 * k) for k in range(steps))
-    value, _ = ou_second_moment(rate, noise, Partition.uniform(t, steps))
+    value = _tracked_value("ou_xx", {**PARAMS, "r": rate, "c": noise, "t": t}, steps)
     assert abs(value - exact) <= 1e-12 * abs(exact)
 
 

@@ -47,6 +47,32 @@ def test_partition_validation():
         part.node_index(0.3)
 
 
+@st.composite
+def partitions(draw):
+    """(partition, uniform?): uniform grids, and grids of random widths."""
+    if draw(st.booleans()):
+        return Partition.uniform(draw(st.floats(0.01, 100.0)), draw(st.integers(1, 200))), True
+    widths = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=50))
+    return Partition((0.0,) + tuple(accumulate(widths))), False
+
+
+@settings(derandomize=True, deadline=None)
+@given(partitions(), st.data())
+def test_node_lookup_on_float_times(case, data):
+    partition, uniform = case
+    n, t = partition.steps, partition.t_end
+    i = data.draw(st.integers(0, n))
+    running = 0.0
+    for r in range(1, i + 1):
+        running += partition.delta(r)
+    times = [running] + ([i * (t / n), t * i / n] if uniform else [])
+    for time in times:
+        assert partition.node_index(time) == i
+    if i < n:
+        with pytest.raises(ValueError):
+            partition.node_index(0.5 * (partition.nodes[i] + partition.nodes[i + 1]))
+
+
 def test_pairing_matrix_is_block_antisymmetric():
     space = WienerSpace(4)
     e = space.eps_matrix
