@@ -7,15 +7,24 @@ allocate fresh blocks on demand: one block per time slice, per variable
 set, and so on.  The canonical generator order is lexicographic on those
 triples; every sign in the package follows from it.
 
-Monomials are stored as tuples of (block, mask) pairs, one machine-int bit
-set per (family, slice) block, so products reduce to bit operations plus
-popcount parity for the permutation sign.
+Each monomial is stored as one Python int with one bit per generator, so
+a product of two monomials is a collision test (``a & b``), a merge
+(``a | b``) and a popcount inversion count for the permutation sign.  The
+low 32 bits hold the variable sets 0..3; above them come one byte per
+block, slice by slice: increment slice s is block 2s and auxiliary set s is
+block 2s + 1.  A block holds at most ``COMPONENT_CAP`` = 8 components, and
+there are ``VARIABLE_SETS`` = 4 variable sets; a generator outside these
+caps is rejected with a ValueError.  Bit order agrees with the canonical
+order except on increment/auxiliary pairs, whose signs are corrected only
+when an auxiliary generator occurs.
 """
 
 from __future__ import annotations
 
 import cmath
 from enum import Enum, IntEnum
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -88,61 +97,137 @@ class Parity(Enum):
     MIXED = "mixed"
 
 
-# A block is a (family value, slice) pair; a multi-index is a sorted tuple
-# of (block, component bit mask) pairs with nonzero masks.
+# A block is a (family, slice) pair; a multi-index is the int whose bits are
+# the generators of one monomial (see the module docstring for the layout).
 Block = tuple[int, int]
-MultiIndex = tuple[tuple[Block, int], ...]
+MultiIndex = int
 
-EMPTY_INDEX: MultiIndex = ()
+EMPTY_INDEX: MultiIndex = 0
+
+COMPONENT_CAP = 8  # components per block: one byte of the multi-index
+VARIABLE_SETS = 4  # variable sets, which fill the low bytes
+_VARIABLE_BITS = VARIABLE_SETS * COMPONENT_CAP
 
 # Coefficients below this magnitude are dropped after every operation,
 # which keeps long operator products sparse.
 PRUNE = 1e-14
 
 
-def _block_of(g: GeneratorId) -> tuple[Block, int]:
-    if g.component < 1:
-        raise ValueError(f"component must be >= 1, got {g.component}")
-    if g.slice < 0:
-        raise ValueError(f"slice must be >= 0, got {g.slice}")
-    return (int(g.family), g.slice), 1 << (g.component - 1)
+def _block_shift(family: int, slice_index: int) -> int:
+    """Position of the first bit of a block."""
+    if slice_index < 0:
+        raise ValueError(f"slice must be >= 0, got {slice_index}")
+    if family == Family.VARIABLE:
+        if slice_index >= VARIABLE_SETS:
+            raise ValueError(
+                f"variable set {slice_index} is outside 0..{VARIABLE_SETS - 1}: sets are capped at {VARIABLE_SETS}"
+            )
+        return COMPONENT_CAP * slice_index
+    return _VARIABLE_BITS + COMPONENT_CAP * (2 * slice_index + (family == Family.AUXILIARY))
+
+
+def _bit_of(g: GeneratorId) -> int:
+    """The one-bit multi-index of a generator."""
+    if not 1 <= g.component <= COMPONENT_CAP:
+        raise ValueError(f"component {g.component} is outside 1..{COMPONENT_CAP}: blocks are capped at {COMPONENT_CAP}")
+    return 1 << (_block_shift(g.family, g.slice) + g.component - 1)
 
 
 def multi_index(generators: Iterable[GeneratorId]) -> MultiIndex:
     """Canonical multi-index for a set of distinct generators."""
-    by_block: dict[Block, int] = {}
+    mi = 0
     for g in generators:
-        block, bit = _block_of(g)
-        mask = by_block.get(block, 0)
-        if mask & bit:
+        bit = _bit_of(g)
+        if mi & bit:
             raise ValueError(f"repeated generator {g}")
-        by_block[block] = mask | bit
-    return tuple(sorted(by_block.items()))
+        mi |= bit
+    return mi
+
+
+def _block_masks(mi: MultiIndex) -> tuple[tuple[Block, int], ...]:
+    """The nonzero ((family, slice), component mask) blocks of a multi-index,
+    in canonical block order: variable sets, increment slices, auxiliary sets."""
+    raw = mi.to_bytes((mi.bit_length() + 7) // 8, "little")
+    out = [((Family.VARIABLE, s), mask) for s, mask in enumerate(raw[:VARIABLE_SETS]) if mask]
+    if len(raw) > VARIABLE_SETS:
+        high = raw[VARIABLE_SETS:]
+        out += [((Family.INCREMENT, s), mask) for s, mask in enumerate(high[0::2]) if mask]
+        out += [((Family.AUXILIARY, s), mask) for s, mask in enumerate(high[1::2]) if mask]
+    return tuple(out)
 
 
 def index_generators(mi: MultiIndex) -> tuple[GeneratorId, ...]:
     """Generators of a multi-index in canonical (ascending) order."""
     out = []
-    for (family, slice_index), mask in mi:
+    for (family, slice_index), mask in _block_masks(mi):
         while mask:
             low = mask & -mask
-            out.append(GeneratorId(Family(family), slice_index, low.bit_length()))
+            out.append(GeneratorId(family, slice_index, low.bit_length()))
             mask ^= low
     return tuple(out)
 
 
 def index_degree(mi: MultiIndex) -> int:
-    return sum(mask.bit_count() for _, mask in mi)
+    return mi.bit_count()
 
 
-def _mask_inversions(above: int, below: int) -> int:
-    """Number of pairs (j in above, i in below) with j > i, within one block."""
-    inv = 0
-    while below:
-        low = below & -below
-        inv += (above >> low.bit_length()).bit_count()
-        below ^= low
-    return inv
+def _above(mi: MultiIndex) -> int:
+    """Bit i is set when an odd number of the bits of ``mi`` lie at or above i.
+
+    For b disjoint from a, ``(_above(a) & b).bit_count()`` is then, mod 2,
+    the number of pairs (j in a, i in b) with j above i: the inversions of
+    the product a*b in bit order.
+    """
+    acc = mi
+    width = mi.bit_length()
+    shift = 1
+    while shift < width:
+        acc ^= acc >> shift
+        shift <<= 1
+    return acc
+
+
+def _sign_key(mi: MultiIndex, aux: int, lift: int) -> MultiIndex:
+    """``mi`` with its auxiliary bits (``aux`` marks them) moved ``lift`` bits
+    up, above every increment bit, so that bit order is canonical order."""
+    bits = mi & aux
+    return mi ^ bits | bits << lift
+
+
+def _from_sign_key(key: MultiIndex, lift: int) -> MultiIndex:
+    """The inverse of ``_sign_key``."""
+    bits = key >> lift
+    return key ^ bits << lift | bits
+
+
+def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
+    """The terms of a product whose keys are in canonical bit order.
+
+    ``index_product`` inlined: each left term's ``_above`` mask makes a
+    pair's sign one popcount.  The factors are the ``sign * ca`` of one
+    product rule, so every sum rounds the same way in every product.
+    """
+    data: dict[MultiIndex, complex] = {}
+    for ka, ca in left.items():
+        above = _above(ka)
+        plus, minus = 1 * ca, -1 * ca
+        for kb, cb in right.items():
+            if not ka & kb:
+                mi = ka | kb
+                data[mi] = data.get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
+    return data
+
+
+def _sign_frame(union: MultiIndex) -> tuple[int, int]:
+    """The (aux, lift) arguments of ``_sign_key`` for keys within ``union``;
+    (0, 0), which leaves keys as they are, when no auxiliary bit occurs."""
+    raw = union.to_bytes((union.bit_length() + 7) // 8, "little")
+    aux_blocks = raw[VARIABLE_SETS + 1 :: 2]  # auxiliary set s is byte VARIABLE_SETS + 2s + 1
+    if not any(aux_blocks):
+        return 0, 0
+    aux = bytearray(len(raw))
+    aux[VARIABLE_SETS + 1 :: 2] = aux_blocks
+    return int.from_bytes(aux, "little"), union.bit_length()
 
 
 def index_product(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int] | None:
@@ -152,57 +237,12 @@ def index_product(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int] | None
     sign counts the transpositions needed to sort the concatenation; it is
     the parity of pairs (j in a, i in b) with j above i in canonical order.
     """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    total_a = index_degree(a)
-    out: list[tuple[Block, int]] = []
-    inversions = 0
-    seen_a = 0
-    ia = 0
-    na = len(a)
-    for block_b, mask_b in b:
-        while ia < na and a[ia][0] < block_b:
-            out.append(a[ia])
-            seen_a += a[ia][1].bit_count()
-            ia += 1
-        if ia < na and a[ia][0] == block_b:
-            mask_a = a[ia][1]
-            if mask_a & mask_b:
-                return None
-            inversions += _mask_inversions(mask_a, mask_b)
-            inversions += mask_b.bit_count() * (total_a - seen_a - mask_a.bit_count())
-            out.append((block_b, mask_a | mask_b))
-            seen_a += mask_a.bit_count()
-            ia += 1
-        else:
-            inversions += mask_b.bit_count() * (total_a - seen_a)
-            out.append((block_b, mask_b))
-    out.extend(a[ia:])
-    return tuple(out), (-1 if inversions & 1 else 1)
-
-
-def _remove_generator(
-    mi: MultiIndex, block: Block, bit: int
-) -> tuple[MultiIndex, int, int] | None:
-    """Drop one generator; returns (index, #gens below, #gens above) or None."""
-    below = 0
-    total = index_degree(mi)
-    for pos, (blk, mask) in enumerate(mi):
-        if blk < block:
-            below += mask.bit_count()
-            continue
-        if blk > block or not (mask & bit):
-            return None
-        below += (mask & (bit - 1)).bit_count()
-        new_mask = mask ^ bit
-        if new_mask:
-            reduced = mi[:pos] + ((blk, new_mask),) + mi[pos + 1 :]
-        else:
-            reduced = mi[:pos] + mi[pos + 1 :]
-        return reduced, below, total - below - 1
-    return None
+    if a & b:
+        return None
+    merged = a | b
+    aux, lift = _sign_frame(merged)
+    a, b = _sign_key(a, aux, lift), _sign_key(b, aux, lift)
+    return merged, (-1 if (_above(a) & b).bit_count() & 1 else 1)
 
 
 class GrassmannElement:
@@ -223,6 +263,16 @@ class GrassmannElement:
                 if abs(c) >= tol:
                     data[mi] = c
         self._terms = data
+
+    @classmethod
+    def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
+        """The element on ``data``, a fresh dict of Python complex coefficients:
+        ``__init__`` without its copy of every term when nothing is pruned."""
+        if not all(map(PRUNE.__le__, map(abs, data.values()))):
+            data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE}
+        element = cls.__new__(cls)
+        element._terms = data
+        return element
 
     # -- constructors -------------------------------------------------
 
@@ -266,21 +316,20 @@ class GrassmannElement:
             raise ValueError(f"element is not a scalar: {self}")
         return self.constant
 
+    def _union(self) -> MultiIndex:
+        """The multi-index of every generator that occurs."""
+        return reduce(or_, self._terms, 0)
+
     def generators(self) -> tuple[GeneratorId, ...]:
-        seen: set[GeneratorId] = set()
-        for mi in self._terms:
-            seen.update(index_generators(mi))
-        return tuple(sorted(seen))
+        return index_generators(self._union())
 
     def blocks(self) -> set[Block]:
-        out: set[Block] = set()
-        for mi in self._terms:
-            out.update(block for block, _ in mi)
-        return out
+        return {block for block, _ in _block_masks(self._union())}
 
     def touches(self, block: Block) -> bool:
         """Whether some term has a generator in ``block``; stops at the first."""
-        return any(b == block for mi in self._terms for b, _ in mi)
+        mask = ((1 << COMPONENT_CAP) - 1) << _block_shift(*block)
+        return any(mi & mask for mi in self._terms)
 
     def norm(self) -> float:
         """Sum of coefficient magnitudes; submultiplicative under products."""
@@ -291,7 +340,7 @@ class GrassmannElement:
         return not self._terms or self.parity() is p
 
     def parity(self) -> Parity:
-        degrees = {index_degree(mi) & 1 for mi in self._terms}
+        degrees = {mi.bit_count() & 1 for mi in self._terms}
         if degrees <= {0}:
             return Parity.EVEN
         if degrees == {1}:
@@ -307,7 +356,7 @@ class GrassmannElement:
         data = dict(self._terms)
         for mi, c in other._terms.items():
             data[mi] = data.get(mi, 0j) + c
-        return GrassmannElement(data)
+        return GrassmannElement._adopt(data)
 
     __radd__ = __add__
 
@@ -318,28 +367,29 @@ class GrassmannElement:
         data = dict(self._terms)
         for mi, c in other._terms.items():
             data[mi] = data.get(mi, 0j) - c
-        return GrassmannElement(data)
+        return GrassmannElement._adopt(data)
 
     def __rsub__(self, other: Scalar) -> "GrassmannElement":
         return _coerce(other).__sub__(self)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement({mi: -c for mi, c in self._terms.items()})
+        return GrassmannElement._adopt({mi: -c for mi, c in self._terms.items()})
 
     def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
             return GrassmannElement({mi: c * other for mi, c in self._terms.items()})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        data: dict[MultiIndex, complex] = {}
-        for mi_a, ca in self._terms.items():
-            for mi_b, cb in other._terms.items():
-                merged = index_product(mi_a, mi_b)
-                if merged is None:
-                    continue
-                mi, sign = merged
-                data[mi] = data.get(mi, 0j) + sign * ca * cb
-        return GrassmannElement(data)
+        left, right = self._terms, other._terms
+        aux, lift = _sign_frame(self._union() | other._union())
+        if not aux:
+            return GrassmannElement._adopt(_product(left, right))
+        # Multiply the sign keys, whose bit order is canonical, and map back.
+        product = _product(
+            {_sign_key(mi, aux, lift): c for mi, c in left.items()},
+            {_sign_key(mi, aux, lift): c for mi, c in right.items()},
+        )
+        return GrassmannElement._adopt({_from_sign_key(mi, lift): c for mi, c in product.items()})
 
     __rmul__ = __mul__  # only scalars reach it, and scalar products commute
 
@@ -363,7 +413,7 @@ class GrassmannElement:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mi in sorted(self._terms, key=lambda m: (index_degree(m), m)):
+        for mi in sorted(self._terms, key=lambda m: (m.bit_count(), _block_masks(m))):
             coeff = self._terms[mi]
             sign, body = _format_coeff(coeff)
             if mi:

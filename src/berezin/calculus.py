@@ -23,8 +23,9 @@ from .algebra import (
     MultiIndex,
     Parity,
     ZERO,
-    _block_of,
-    _remove_generator,
+    _bit_of,
+    _sign_frame,
+    _sign_key,
     gen,
     substitute,
 )
@@ -43,16 +44,19 @@ __all__ = [
 def _strip(a: GrassmannElement, g: GeneratorId, from_left: bool) -> GrassmannElement:
     """Remove g from every monomial holding it, with the sign of moving it to
     the left end (counting generators below g) or to the right end (above)."""
-    block, bit = _block_of(g)
+    bit = _bit_of(g)
+    aux, lift = _sign_frame(a._union() | bit)
+    below = _sign_key(bit, aux, lift) - 1  # the sign-key bits canonically below g
     data: dict[MultiIndex, complex] = {}
     for mi, coeff in a.items():
-        removed = _remove_generator(mi, block, bit)
-        if removed is None:
+        if not mi & bit:
             continue
-        reduced, below, above = removed
-        sign = -1 if (below if from_left else above) & 1 else 1
-        data[reduced] = data.get(reduced, 0j) + sign * coeff
-    return GrassmannElement(data)
+        count = (_sign_key(mi, aux, lift) & below).bit_count()
+        if not from_left:
+            count = mi.bit_count() - count - 1
+        reduced = mi ^ bit
+        data[reduced] = data.get(reduced, 0j) + (-1 if count & 1 else 1) * coeff
+    return GrassmannElement._adopt(data)
 
 
 def derivative_element(a: GrassmannElement, g: GeneratorId) -> GrassmannElement:

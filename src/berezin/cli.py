@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import element_to_json, gen
+from .algebra import COMPONENT_CAP, element_to_json, gen
 from .feynman_kac import (
     EXAMPLE_NAMES,
+    ParameterError,
     closed_form_kernel,
     example_hamiltonian,
     fk_evolve,
@@ -96,9 +97,16 @@ def _time_list(text: str) -> tuple[float, ...]:
     return _option_values(text, float, lambda times: all(0 < t < np.inf for t in times), rule)
 
 
+def _time(text: str) -> float:
+    rule = "the time must be a positive finite number"
+    return _option_values(text, float, lambda t: len(t) == 1 and 0 < t[0] < np.inf, rule)[0]
+
+
 def _brownian_dimension(text: str) -> int:
-    rule = "the Brownian dimension must be a positive even integer"
-    return _option_values(text, int, lambda m: len(m) == 1 and m[0] >= 2 and m[0] % 2 == 0, rule)[0]
+    rule = f"the Brownian dimension must be an even integer from 2 to {COMPONENT_CAP}"
+    return _option_values(
+        text, int, lambda m: len(m) == 1 and 2 <= m[0] <= COMPONENT_CAP and m[0] % 2 == 0, rule
+    )[0]
 
 
 def _check_json(check: Check) -> dict:
@@ -145,8 +153,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     t = params.pop("t")
 
     h = example_hamiltonian(name, **params)
-    oracle = oracle_kernel(h, t)
     closed = closed_form_kernel(name, t, **params)
+    oracle = oracle_kernel(h, t)
     fk_kernels = [kernel_extract(fk_operator(h, Partition.uniform(t, n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]
@@ -291,7 +299,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     io_options.add_argument("--config", default=None, help="JSON object of option defaults")
     hamiltonian_options = argparse.ArgumentParser(add_help=False)
     for key, default in PARAMS.items():
-        hamiltonian_options.add_argument(f"--{key}", type=float, default=default)
+        hamiltonian_options.add_argument(f"--{key}", type=_time if key == "t" else float, default=default)
 
     p_verify = sub.add_parser("verify", parents=[io_options], help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
@@ -356,7 +364,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = list(sys.argv[1:] if argv is None else argv)
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_flags(commands[args.command], config) + argv[at:])
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParameterError as exc:  # raised while the command builds its Hamiltonian, before any output
+        commands[args.command].error(f"argument --{exc.name}: {exc}")
 
 
 if __name__ == "__main__":

@@ -78,7 +78,17 @@ __all__ = [
     "closed_form_kernel",
     "example_hamiltonian",
     "EXAMPLE_NAMES",
+    "ParameterError",
 ]
+
+
+class ParameterError(ValueError):
+    """A parameter of the worked Hamiltonians outside its domain; ``name`` is
+    its keyword (``t``, ``r``, ``c``, ``b``), so a front end can name its option."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 def state_variables(n: int) -> tuple[GeneratorId, ...]:
@@ -385,7 +395,7 @@ def closed_form_kernel(
     operator exponential in the top slot (see the module docstring).
     """
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ParameterError("t", "t must be positive")
     out_vars, in_vars = state_variables(2), kernel_variables(2)
     xi1, xi2 = (gen(v) for v in out_vars)
     et1, et2 = (gen(v) for v in in_vars)
@@ -400,7 +410,7 @@ def closed_form_kernel(
         return SupersmoothFunction(np.exp(-lam * t) * flat, variables)
     if name == "ou":
         if r == 0:
-            raise ValueError("the rate r must be nonzero")
+            raise ParameterError("r", "the rate r must be nonzero")
         decay = np.exp(-r * t)
         body = (
             et1 * et2
@@ -415,7 +425,7 @@ def closed_form_kernel(
         return SupersmoothFunction(sh * grassmann_exp(exponent), variables)
     if name == "quartic":
         if b == 0:
-            raise ValueError("the coupling b must be nonzero")
+            raise ParameterError("b", "the coupling b must be nonzero")
         delta = grassmann_delta(in_vars, out_vars).body
         body = delta + scalar(c * c / (2 * b) * (np.exp(-2 * b * t) - 1))
         return SupersmoothFunction(body, variables)
@@ -453,7 +463,7 @@ def example_hamiltonian(
         return HamiltonianSpec(2, 2, -(x1 * x2), (zero, zero), identity, variables)
     if name == "quartic":
         if c == 0:
-            raise ValueError("the noise scale c must be nonzero")
+            raise ParameterError("c", "the noise scale c must be nonzero")
         field = 1j * (scalar(c) + (b / c) * (x1 * x2))
         diffusion = ((field, zero), (zero, field))
         return HamiltonianSpec(2, 2, zero, (zero, zero), diffusion, variables)

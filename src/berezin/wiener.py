@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    Block,
+    COMPONENT_CAP,
     Family,
     GeneratorId,
     GrassmannElement,
@@ -117,8 +117,8 @@ class WienerSpace:
     """
 
     def __init__(self, m: int):
-        if m < 2 or m % 2:
-            raise ValueError("the Brownian dimension m must be a positive even integer")
+        if m < 2 or m % 2 or m > COMPONENT_CAP:
+            raise ValueError(f"the Brownian dimension m must be an even integer from 2 to {COMPONENT_CAP}")
         self.m = m
 
     def eps(self, a: int, b: int) -> int:
@@ -197,10 +197,10 @@ def heat_kernel_difference(
     return SupersmoothFunction(_gaussian(points, t), tuple(first) + tuple(second))
 
 
-# One slice's density as the pairing rule reads it: the slice block, and for
-# each heat-kernel term in product order, the slice mask of the terms it
-# meets (the complement of its own mask) with its coefficient.
-SliceDensity = tuple[Block, tuple[tuple[int, complex], ...]]
+# One slice's density as the pairing rule reads it: the slice's bits, and for
+# each heat-kernel term in product order, the slice bits of the terms it
+# meets (the complement of its own) with its coefficient.
+SliceDensity = tuple[MultiIndex, tuple[tuple[MultiIndex, complex], ...]]
 
 
 def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
@@ -210,14 +210,10 @@ def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
     ``WienerSpace.increment_ids`` gives them.  The coefficients are read off
     ``heat_kernel`` itself, so they keep its rounding and its pruning.
     """
-    index = multi_index(ids)
-    if len(index) != 1 or index[0][1] != (1 << len(ids)) - 1 or list(ids) != sorted(ids):
+    if not ids or list(ids) != [GeneratorId(ids[0].family, ids[0].slice, a) for a in range(1, len(ids) + 1)]:
         raise ValueError("slice variables must be the components 1..m of one block, in order")
-    block, full = index[0]
-    terms = tuple(
-        (full ^ (mi[0][1] if mi else 0), c) for mi, c in heat_kernel(ids, t).body.items()
-    )
-    return block, terms
+    block = multi_index(ids)
+    return block, tuple((block ^ mi, c) for mi, c in heat_kernel(ids, t).body.items())
 
 
 def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannElement:
@@ -225,29 +221,20 @@ def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannEle
 
     Equal, coefficient for coefficient and in term order, to
     ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``.  A density term
-    meets only the terms of ``a`` whose slice mask is its complement, with
-    sign +1: both masks are unions of whole pairs, and the m strips are even
-    in number.  Every other product term misses a slice variable and
+    meets only the terms of ``a`` whose slice bits are its complement, with
+    sign +1: both are unions of whole pairs, and the m strips are even in
+    number.  Every other product term misses a slice variable and
     integrates to zero.  Sums run in the product's order (density terms
     outer, terms of ``a`` inner), so every coefficient rounds as it did.
     """
     block, terms = density
-    buckets: dict[int, list[tuple[MultiIndex, complex]]] = {mask: [] for mask, _ in terms}
-    for mi, c in a.items():
-        mask, pos = 0, 0
-        for pos, (blk, bits) in enumerate(mi):
-            if blk >= block:
-                if blk == block:
-                    mask = bits
-                break
-        bucket = buckets.get(mask)
-        if bucket is not None:
-            bucket.append((mi[:pos] + mi[pos + 1 :] if mask else mi, c))
     data: dict[MultiIndex, complex] = {}
     for mask, dc in terms:
-        for key, c in buckets[mask]:
-            data[key] = data.get(key, 0j) + dc * c
-    return GrassmannElement(data)
+        for mi, c in a.items():
+            if mi & block == mask:
+                key = mi ^ mask if mask else mi  # no copy of a key that keeps its bits
+                data[key] = data.get(key, 0j) + dc * c
+    return GrassmannElement._adopt(data)
 
 
 def free_hamiltonian_apply(space: WienerSpace, f: SupersmoothFunction) -> SupersmoothFunction:

@@ -2,10 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezin.algebra import (
+    COMPONENT_CAP,
+    VARIABLE_SETS,
     Family,
     GeneratorId,
+    GrassmannElement,
     ONE,
     Parity,
     ZERO,
@@ -16,6 +21,8 @@ from berezin.algebra import (
     gen,
     grassmann_exp,
     increment,
+    index_product,
+    multi_index,
     PRUNE,
     monomial,
     scalar,
@@ -323,3 +330,106 @@ def test_derivative_and_integral_signs_match_position_counting():
         got_i = berezin_integrate(monomial(gens), (target,))
         above = len(gens) - position - 1
         assert got_i == (-1) ** above * reduced
+
+
+# -- the int layout: caps, pinned text, and the algebra laws as properties --
+
+
+def test_generators_beyond_the_block_caps_are_rejected():
+    assert gen(eta(COMPONENT_CAP, VARIABLE_SETS - 1)).generators() == (eta(8, 3),)
+    for g in (eta(9), increment(3, 9), aux(9, 2)):
+        with pytest.raises(ValueError, match="capped at 8"):
+            gen(g)
+    with pytest.raises(ValueError, match="capped at 4"):
+        gen(eta(1, 4))
+    with pytest.raises(ValueError, match="capped at 4"):
+        monomial((eta(1), eta(2, 7)))
+
+
+def test_mixed_family_product_in_noncanonical_order_keeps_its_text_and_sign():
+    mixed = (
+        (2 - 1j) * gen(aux(2, 1)) * gen(increment(70, 1)) * gen(eta(1)) * gen(aux(1)) * gen(increment(3, 2))
+        - 0.5 * gen(aux(1, 65)) * gen(increment(66, 8)) * gen(eta(8, 3))
+        + 0.25j * gen(increment(1, 1)) * gen(aux(1))
+    )
+    assert str(mixed) == (
+        "0.25i·δ[1;1]θ[1] + 0.5·η[3;8]δ[66;8]θ[65;1] + (-2.0+1.0i)·η[1]δ[3;2]δ[70;1]θ[1]θ[1;2]"
+    )
+    assert mixed.coefficient((eta(1), increment(3, 2), increment(70, 1), aux(1), aux(2, 1))) == -2 + 1j
+    assert mixed.coefficient((eta(8, 3), increment(66, 8), aux(1, 65))) == 0.5
+
+
+# Every family, increment slices and auxiliary sets on both sides of 64, and
+# every component up to the cap.
+GENERATORS = st.one_of(
+    st.builds(eta, st.integers(1, COMPONENT_CAP), st.integers(0, VARIABLE_SETS - 1)),
+    st.builds(increment, st.sampled_from((0, 1, 2, 5, 63, 64, 65, 200)), st.integers(1, COMPONENT_CAP)),
+    st.builds(aux, st.integers(1, COMPONENT_CAP), st.sampled_from((0, 1, 2, 5, 63, 64, 65, 200))),
+)
+# A small mixed pool, so that random products share generators and vanish.
+POOL = (eta(1), eta(2), eta(3, 3), increment(1, 1), increment(1, 2), increment(65, 8), aux(1), aux(2), aux(1, 64))
+# Small integer coefficients keep every product and sum exact, so the laws hold exactly.
+COEFFICIENTS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+LAWS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def _element(terms: dict) -> GrassmannElement:
+    return sum((monomial(gens, c) for gens, c in terms.items()), ZERO)
+
+
+def _elements(degree_parity: int | None = None):
+    monomials = st.lists(st.sampled_from(POOL), max_size=4, unique=True).map(lambda g: tuple(sorted(g)))
+    if degree_parity is not None:
+        monomials = monomials.filter(lambda g: len(g) % 2 == degree_parity)
+    return st.dictionaries(monomials, COEFFICIENTS, max_size=4).map(_element)
+
+
+@LAWS
+@given(st.lists(GENERATORS, max_size=8, unique=True))
+def test_a_product_of_generators_in_any_order_has_the_sign_of_its_sorting(gens):
+    product = ONE
+    for g in gens:
+        product = product * gen(g)
+    assert product == monomial(*_reference_monomial_product(gens, ()))
+
+
+@LAWS
+@given(st.lists(GENERATORS, max_size=6, unique=True), st.lists(GENERATORS, max_size=6, unique=True))
+def test_monomial_products_match_the_positional_sign_oracle_in_every_family(gens_a, gens_b):
+    left, right = tuple(sorted(gens_a)), tuple(sorted(gens_b))
+    product = monomial(left) * monomial(right)
+    pair = index_product(multi_index(left), multi_index(right))
+    reference = _reference_monomial_product(left, right)
+    if reference is None:
+        assert product.is_zero() and pair is None
+    else:
+        sorted_gens, sign = reference
+        assert product == monomial(sorted_gens, sign)
+        assert pair == (multi_index(sorted_gens), sign)
+
+
+@LAWS
+@given(_elements(), _elements(), _elements())
+def test_products_are_associative_and_distributive(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@LAWS
+@given(st.integers(0, 1), st.integers(0, 1), st.data())
+def test_homogeneous_elements_commute_up_to_the_graded_sign(pa, pb, data):
+    a, b = data.draw(_elements(pa)), data.draw(_elements(pb))
+    assert a * b == (-1) ** (pa * pb) * (b * a)
+
+
+@LAWS
+@given(st.lists(GENERATORS, min_size=1, max_size=8, unique=True), st.data())
+def test_derivative_and_integral_signs_count_positions_in_every_family(gens, data):
+    from berezin.calculus import berezin_integrate, derivative_element
+
+    gens = tuple(sorted(gens))
+    position = data.draw(st.integers(0, len(gens) - 1))
+    reduced = monomial(gens[:position] + gens[position + 1 :])
+    assert derivative_element(monomial(gens), gens[position]) == (-1) ** position * reduced
+    assert berezin_integrate(monomial(gens), (gens[position],)) == (-1) ** (len(gens) - position - 1) * reduced

@@ -228,3 +228,40 @@ def test_malformed_option_value_exits_2_and_names_the_option(
         main(argv)
     assert exit_info.value.code == 2
     assert f"argument --{option}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_config", (False, True), ids=("flag", "config"))
+@pytest.mark.parametrize(
+    "command, option, value",
+    (
+        (["converge", "--quantity", "quartic_xx"], "c", "0"),
+        (["converge"], "t", "0"),
+        (["converge"], "t", "nan"),
+        (["kernel", "ou"], "r", "0"),
+        (["kernel", "flat"], "t", "-1"),
+        (["kernel", "quartic"], "b", "0"),
+    ),
+    ids=("converge-c", "converge-t", "converge-t-nan", "kernel-ou-r", "kernel-flat-t", "kernel-quartic-b"),
+)
+def test_out_of_range_hamiltonian_option_exits_2_and_names_the_option(
+    tmp_path, capsys, command, option, value, via_config
+):
+    if via_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: value, "n": "2"}))
+        argv = command + ["--config", str(config)]
+    else:
+        argv = command + ["--n", "2", f"--{option}", value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --{option}:" in captured.err
+    assert captured.out == ""
+
+
+def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["moments", "--m", "10"])
+    assert exit_info.value.code == 2
+    assert "from 2 to 8" in capsys.readouterr().err
