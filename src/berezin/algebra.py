@@ -167,10 +167,6 @@ def index_generators(mi: MultiIndex) -> tuple[GeneratorId, ...]:
     return tuple(out)
 
 
-def index_degree(mi: MultiIndex) -> int:
-    return mi.bit_count()
-
-
 def _above(mi: MultiIndex) -> int:
     """Bit i is set when an odd number of the bits of ``mi`` lie at or above i.
 
@@ -203,9 +199,10 @@ def _from_sign_key(key: MultiIndex, lift: int) -> MultiIndex:
 def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
     """The terms of a product whose keys are in canonical bit order.
 
-    ``index_product`` inlined: each left term's ``_above`` mask makes a
-    pair's sign one popcount.  The factors are the ``sign * ca`` of one
-    product rule, so every sum rounds the same way in every product.
+    A pair of disjoint keys merges to ``ka | kb``; its permutation sign is
+    the parity of the inversions, one popcount of the left term's
+    ``_above`` mask.  The factors are ``sign * ca`` for every pair, so every
+    sum rounds the same way in every product.
     """
     data: dict[MultiIndex, complex] = {}
     for ka, ca in left.items():
@@ -228,21 +225,6 @@ def _sign_frame(union: MultiIndex) -> tuple[int, int]:
     aux = bytearray(len(raw))
     aux[VARIABLE_SETS + 1 :: 2] = aux_blocks
     return int.from_bytes(aux, "little"), union.bit_length()
-
-
-def index_product(a: MultiIndex, b: MultiIndex) -> tuple[MultiIndex, int] | None:
-    """Merged multi-index and permutation sign of the product a*b.
-
-    Returns ``None`` when a generator repeats (the product vanishes).  The
-    sign counts the transpositions needed to sort the concatenation; it is
-    the parity of pairs (j in a, i in b) with j above i in canonical order.
-    """
-    if a & b:
-        return None
-    merged = a | b
-    aux, lift = _sign_frame(merged)
-    a, b = _sign_key(a, aux, lift), _sign_key(b, aux, lift)
-    return merged, (-1 if (_above(a) & b).bit_count() & 1 else 1)
 
 
 class GrassmannElement:
@@ -553,6 +535,24 @@ def _substitute_odd(
                 break
         result = result + term
     return result
+
+
+def _strip_generator(a: GrassmannElement, g: GeneratorId, from_left: bool) -> GrassmannElement:
+    """Remove g from every monomial holding it, with the sign of moving it to
+    the left end (counting generators below g) or to the right end (above)."""
+    bit = _bit_of(g)
+    aux, lift = _sign_frame(a._union() | bit)
+    below = _sign_key(bit, aux, lift) - 1  # the sign-key bits canonically below g
+    data: dict[MultiIndex, complex] = {}
+    for mi, coeff in a.items():
+        if not mi & bit:
+            continue
+        count = (_sign_key(mi, aux, lift) & below).bit_count()
+        if not from_left:
+            count = mi.bit_count() - count - 1
+        reduced = mi ^ bit
+        data[reduced] = data.get(reduced, 0j) + (-1 if count & 1 else 1) * coeff
+    return GrassmannElement._adopt(data)
 
 
 # -- serialization ----------------------------------------------------

@@ -20,12 +20,9 @@ from typing import Iterable, Sequence
 from .algebra import (
     GeneratorId,
     GrassmannElement,
-    MultiIndex,
     Parity,
     ZERO,
-    _bit_of,
-    _sign_frame,
-    _sign_key,
+    _strip_generator,
     gen,
     substitute,
 )
@@ -41,27 +38,9 @@ __all__ = [
 ]
 
 
-def _strip(a: GrassmannElement, g: GeneratorId, from_left: bool) -> GrassmannElement:
-    """Remove g from every monomial holding it, with the sign of moving it to
-    the left end (counting generators below g) or to the right end (above)."""
-    bit = _bit_of(g)
-    aux, lift = _sign_frame(a._union() | bit)
-    below = _sign_key(bit, aux, lift) - 1  # the sign-key bits canonically below g
-    data: dict[MultiIndex, complex] = {}
-    for mi, coeff in a.items():
-        if not mi & bit:
-            continue
-        count = (_sign_key(mi, aux, lift) & below).bit_count()
-        if not from_left:
-            count = mi.bit_count() - count - 1
-        reduced = mi ^ bit
-        data[reduced] = data.get(reduced, 0j) + (-1 if count & 1 else 1) * coeff
-    return GrassmannElement._adopt(data)
-
-
 def derivative_element(a: GrassmannElement, g: GeneratorId) -> GrassmannElement:
     """Left derivative of an element with respect to one generator."""
-    return _strip(a, g, from_left=True)
+    return _strip_generator(a, g, from_left=True)
 
 
 def berezin_integrate(a: GrassmannElement, variables: Sequence[GeneratorId]) -> GrassmannElement:
@@ -74,7 +53,7 @@ def berezin_integrate(a: GrassmannElement, variables: Sequence[GeneratorId]) -> 
     """
     result = a
     for g in reversed(variables):
-        result = _strip(result, g, from_left=False)
+        result = _strip_generator(result, g, from_left=False)
         if result.is_zero():
             break
     return result

@@ -21,8 +21,6 @@ from berezin.algebra import (
     gen,
     grassmann_exp,
     increment,
-    index_product,
-    multi_index,
     PRUNE,
     monomial,
     scalar,
@@ -275,7 +273,7 @@ def test_generator_id_fields():
 
 def _reference_monomial_product(gens_a, gens_b):
     # positional inversion count on explicit generator tuples, independent
-    # of the block-mask machinery
+    # of the bit layout
     merged = list(gens_a) + list(gens_b)
     if len(set(merged)) != len(merged):
         return None
@@ -286,50 +284,6 @@ def _reference_monomial_product(gens_a, gens_b):
         if merged[i] > merged[j]
     )
     return tuple(sorted(merged)), (-1) ** inversions
-
-
-def test_monomial_products_match_a_positional_sign_oracle():
-    rng = random.Random(99)
-    pool = [
-        GeneratorId(family, slice_index, component)
-        for family in (Family.VARIABLE, Family.INCREMENT, Family.AUXILIARY)
-        for slice_index in (0, 1, 3)
-        for component in (1, 2, 3, 5)
-    ]
-    for _ in range(500):
-        gens_a = tuple(sorted(rng.sample(pool, rng.randint(0, 5))))
-        gens_b = tuple(sorted(rng.sample(pool, rng.randint(0, 5))))
-        product = monomial(gens_a) * monomial(gens_b)
-        reference = _reference_monomial_product(gens_a, gens_b)
-        if reference is None:
-            assert product.is_zero()
-        else:
-            sorted_gens, sign = reference
-            assert product == monomial(sorted_gens, sign)
-
-
-def test_derivative_and_integral_signs_match_position_counting():
-    import random as _random
-
-    from berezin.calculus import berezin_integrate, derivative_element
-
-    rng = _random.Random(98)
-    pool = [
-        GeneratorId(family, slice_index, component)
-        for family in (Family.VARIABLE, Family.INCREMENT)
-        for slice_index in (0, 2)
-        for component in (1, 2, 4)
-    ]
-    for _ in range(300):
-        gens = tuple(sorted(rng.sample(pool, rng.randint(1, 6))))
-        target = rng.choice(gens)
-        position = gens.index(target)
-        reduced = monomial(gens[:position] + gens[position + 1 :])
-        got_d = derivative_element(monomial(gens), target)
-        assert got_d == (-1) ** position * reduced
-        got_i = berezin_integrate(monomial(gens), (target,))
-        above = len(gens) - position - 1
-        assert got_i == (-1) ** above * reduced
 
 
 # -- the int layout: caps, pinned text, and the algebra laws as properties --
@@ -344,6 +298,13 @@ def test_generators_beyond_the_block_caps_are_rejected():
         gen(eta(1, 4))
     with pytest.raises(ValueError, match="capped at 4"):
         monomial((eta(1), eta(2, 7)))
+
+
+def test_serialized_elements_beyond_the_block_caps_are_refused():
+    with pytest.raises(ValueError, match="capped at 8"):
+        element_from_json({"v0.1 i2.9": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="capped at 4"):
+        element_from_json({"1": [0.5, 0.0], "v5.1": [1.0, 0.0]})
 
 
 def test_mixed_family_product_in_noncanonical_order_keeps_its_text_and_sign():
@@ -393,19 +354,19 @@ def test_a_product_of_generators_in_any_order_has_the_sign_of_its_sorting(gens):
     assert product == monomial(*_reference_monomial_product(gens, ()))
 
 
-@LAWS
-@given(st.lists(GENERATORS, max_size=6, unique=True), st.lists(GENERATORS, max_size=6, unique=True))
-def test_monomial_products_match_the_positional_sign_oracle_in_every_family(gens_a, gens_b):
-    left, right = tuple(sorted(gens_a)), tuple(sorted(gens_b))
+@settings(LAWS, max_examples=500)
+@given(st.lists(GENERATORS, min_size=1, max_size=10, unique=True), st.data())
+def test_monomial_products_match_a_positional_sign_oracle(pool, data):
+    # Both factors draw from one pool, so shared generators (zero products) occur.
+    factor = st.lists(st.sampled_from(pool), max_size=6, unique=True).map(lambda g: tuple(sorted(g)))
+    left, right = data.draw(factor), data.draw(factor)
     product = monomial(left) * monomial(right)
-    pair = index_product(multi_index(left), multi_index(right))
     reference = _reference_monomial_product(left, right)
     if reference is None:
-        assert product.is_zero() and pair is None
+        assert product.is_zero()
     else:
         sorted_gens, sign = reference
         assert product == monomial(sorted_gens, sign)
-        assert pair == (multi_index(sorted_gens), sign)
 
 
 @LAWS
@@ -423,9 +384,9 @@ def test_homogeneous_elements_commute_up_to_the_graded_sign(pa, pb, data):
     assert a * b == (-1) ** (pa * pb) * (b * a)
 
 
-@LAWS
+@settings(LAWS, max_examples=300)
 @given(st.lists(GENERATORS, min_size=1, max_size=8, unique=True), st.data())
-def test_derivative_and_integral_signs_count_positions_in_every_family(gens, data):
+def test_derivative_and_integral_signs_match_position_counting(gens, data):
     from berezin.calculus import berezin_integrate, derivative_element
 
     gens = tuple(sorted(gens))
