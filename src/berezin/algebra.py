@@ -215,9 +215,16 @@ def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) 
     return data
 
 
+# The auxiliary bits of sets 0..1023: a union below this mask that misses it
+# holds no auxiliary generator, which settles most products without a byte scan.
+_AUX_BITS = int.from_bytes(bytes(VARIABLE_SETS) + b"\x00\xff" * 1024, "little")
+
+
 def _sign_frame(union: MultiIndex) -> tuple[int, int]:
     """The (aux, lift) arguments of ``_sign_key`` for keys within ``union``;
     (0, 0), which leaves keys as they are, when no auxiliary bit occurs."""
+    if union <= _AUX_BITS and not union & _AUX_BITS:
+        return 0, 0
     raw = union.to_bytes((union.bit_length() + 7) // 8, "little")
     aux_blocks = raw[VARIABLE_SETS + 1 :: 2]  # auxiliary set s is byte VARIABLE_SETS + 2s + 1
     if not any(aux_blocks):
@@ -247,10 +254,15 @@ class GrassmannElement:
         self._terms = data
 
     @classmethod
-    def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
+    def _adopt(
+        cls, data: dict[MultiIndex, complex], touched: Iterable[MultiIndex] | None = None
+    ) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
-        ``__init__`` without its copy of every term when nothing is pruned."""
-        if not all(map(PRUNE.__le__, map(abs, data.values()))):
+        ``__init__`` without its copy of every term when nothing is pruned.
+        ``touched``, when given, holds every key whose coefficient may lie
+        below the prune threshold; only those are checked."""
+        values = data.values() if touched is None else map(data.__getitem__, touched)
+        if not all(map(PRUNE.__le__, map(abs, values))):
             data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE}
         element = cls.__new__(cls)
         element._terms = data
@@ -308,11 +320,6 @@ class GrassmannElement:
     def blocks(self) -> set[Block]:
         return {block for block, _ in _block_masks(self._union())}
 
-    def touches(self, block: Block) -> bool:
-        """Whether some term has a generator in ``block``; stops at the first."""
-        mask = ((1 << COMPONENT_CAP) - 1) << _block_shift(*block)
-        return any(mi & mask for mi in self._terms)
-
     def norm(self) -> float:
         """Sum of coefficient magnitudes; submultiplicative under products."""
         return sum(abs(c) for c in self._terms.values())
@@ -338,7 +345,7 @@ class GrassmannElement:
         data = dict(self._terms)
         for mi, c in other._terms.items():
             data[mi] = data.get(mi, 0j) + c
-        return GrassmannElement._adopt(data)
+        return GrassmannElement._adopt(data, other._terms)  # both operands are pruned
 
     __radd__ = __add__
 
@@ -349,7 +356,7 @@ class GrassmannElement:
         data = dict(self._terms)
         for mi, c in other._terms.items():
             data[mi] = data.get(mi, 0j) - c
-        return GrassmannElement._adopt(data)
+        return GrassmannElement._adopt(data, other._terms)  # both operands are pruned
 
     def __rsub__(self, other: Scalar) -> "GrassmannElement":
         return _coerce(other).__sub__(self)
@@ -524,17 +531,47 @@ def _odd_images(
 def _substitute_odd(
     a: GrassmannElement, images: Mapping[GeneratorId, GrassmannElement]
 ) -> GrassmannElement:
-    """The homomorphism of ``substitute``, for images ``_odd_images`` has checked."""
-    result = ZERO
+    """The homomorphism of ``substitute``, for images ``_odd_images`` has checked.
+
+    A term is the product, in canonical generator order, of its coefficient
+    and each generator's image; a term with no mapped generator is kept as
+    it is, which is that product up to the signs of zero parts.  The terms
+    are summed in order, as ``ZERO + t1 + t2 + ...`` sums them.
+    """
+    by_bit = {_bit_of(g): image for g, image in images.items()}
+    mapped = reduce(or_, by_bit, 0)
+    data: dict[MultiIndex, complex] = {}
     for mi, coeff in a.items():
-        term = GrassmannElement.from_scalar(coeff)
-        for g in index_generators(mi):
-            factor = images.get(g)
-            term = term * (factor if factor is not None else gen(g))
-            if term.is_zero():
-                break
-        result = result + term
-    return result
+        if not mi & mapped:
+            terms = {mi: coeff}
+        else:
+            term = GrassmannElement.from_scalar(coeff)
+            for bit in _canonical_bits(mi):
+                factor = by_bit.get(bit)
+                term = term * (factor if factor is not None else GrassmannElement._adopt({bit: 1 + 0j}))
+                if term.is_zero():
+                    break
+            terms = term._terms
+        # Summed in place, pruned after each term as a chain of ``+`` would be.
+        for key, c in terms.items():
+            data[key] = data.get(key, 0j) + c
+        for key in terms:
+            if not abs(data[key]) >= PRUNE:
+                del data[key]
+    return GrassmannElement._adopt(data)
+
+
+def _canonical_bits(mi: MultiIndex) -> list[MultiIndex]:
+    """The one-bit multi-indices of ``mi`` in canonical generator order; for a
+    key of variables only that is bit order, read without building ids."""
+    if mi >> _VARIABLE_BITS:
+        return [_bit_of(g) for g in index_generators(mi)]
+    bits = []
+    while mi:
+        low = mi & -mi
+        bits.append(low)
+        mi ^= low
+    return bits
 
 
 def _strip_generator(a: GrassmannElement, g: GeneratorId, from_left: bool) -> GrassmannElement:

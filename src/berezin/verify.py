@@ -25,6 +25,7 @@ from .algebra import (
     gen,
     grassmann_exp,
     monomial,
+    multi_index,
     scalar,
     substitute,
 )
@@ -162,10 +163,7 @@ def random_element(
         coeff = complex(rng.uniform(0.2, 1.0) * rng.choice([-1, 1]),
                         rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))
         terms[subset] = coeff
-    out = ZERO
-    for subset, coeff in terms.items():
-        out = out + monomial(tuple(generators[i] for i in subset), coeff)
-    return out
+    return GrassmannElement({multi_index(generators[i] for i in s): coeff for s, coeff in terms.items()})
 
 
 # -- algebra ------------------------------------------------------------

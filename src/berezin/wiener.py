@@ -3,14 +3,19 @@
 The heat kernel of the free second-order operator provides the joint
 densities; Brownian motion at a partition node is the running sum of
 per-slice increment generators, and every expectation is an exact Berezin
-integral.  The default engine eliminates one time slice at a time, from
-the last slice inward, so the live generator count stays proportional to
-the number of slices a functional actually touches.  Each slice is
-integrated by the closed-form pairing (Wick) rule of the Gaussian Berezin
-integral: a term survives only when its slice generators are whole
-component pairs, and it picks up the density coefficient of the
-complementary pairs.  A joint mode that forms the density products and
-keeps all slices live backs it as an internal oracle for small grids.
+integral.  Each slice is integrated by the closed-form pairing (Wick) rule
+of the Gaussian Berezin integral: a term survives only when its slice
+generators are whole component pairs, and it picks up the density
+coefficient of the complementary pairs.  The increments of distinct slices
+are independent, so the default engine takes an expectation in one pass
+over the functional's terms: each term walks only the slices its key
+touches, last slice first, multiplying in one pairing coefficient per
+slice, and is dropped as soon as a slice's pattern has no pairing or its
+coefficient falls below the prune threshold.  The survivors are summed in
+term order and pruned once, which is bit for bit the sum of integrating
+each term alone, slice by slice.  A joint mode that forms the density
+products and keeps all slices live backs it as an internal oracle for
+small grids.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .algebra import (
     GrassmannElement,
     MultiIndex,
     ONE,
+    PRUNE,
     ZERO,
     gen,
     increment,
@@ -265,14 +271,19 @@ class BrownianMotion:
     """Anticommuting Brownian motion realized on one partition.
 
     Each slice r carries m fresh increment generators; the path value at
-    node r is the sum of the first r increments.  Expectations integrate
-    out one slice at a time, last slice first, by the pairing rule of its
-    heat-kernel density (``_integrate_slice``).
+    node r is the sum of the first r increments.  An expectation is one
+    pass over the functional's terms: a term meets the slices it touches,
+    last slice first, and takes from each slice's pairing table (its slice
+    bits → the heat-kernel density coefficient of the complementary pairs,
+    read off ``_slice_density`` once per slice and instance) one factor, or
+    is dropped.  That equals integrating each term alone with
+    ``_integrate_slice`` and summing, bit for bit.
     """
 
     def __init__(self, space: WienerSpace, partition: Partition):
         self.space = space
         self.partition = partition
+        self._pairings: dict[int, tuple[MultiIndex, dict[MultiIndex, complex]]] = {}
 
     def increments(self, r: int) -> tuple[GrassmannElement, ...]:
         if not 1 <= r <= self.partition.steps:
@@ -313,16 +324,44 @@ class BrownianMotion:
                 raise ValueError(f"functional references undeclared slice {slice_index}")
         return slices
 
+    def _pairing(self, r: int) -> tuple[MultiIndex, dict[MultiIndex, complex]]:
+        """Slice r's bits and its pairing table (the slice bits a term must
+        hold → density coefficient), read off ``_slice_density`` once."""
+        pairing = self._pairings.get(r)
+        if pairing is None:
+            block, terms = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
+            pairing = self._pairings[r] = (block, dict(terms))
+        return pairing
+
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:
-        # Integrating a slice never adds another, but may prune one away.
-        referenced = self._check_slices(functional)
-        current = functional
-        for r in range(self.partition.steps, 0, -1):
-            if r not in referenced or not current.touches((int(Family.INCREMENT), r)):
-                continue  # the slice density integrates to one
-            density = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
-            current = _integrate_slice(current, density)
-        return current
+        """The one pass of the class docstring; pruned once, at the end."""
+        # The pairing of the slice that holds a term's highest remaining
+        # increment bit, by that bit's length (a block is m contiguous bits).
+        by_top: dict[int, tuple[MultiIndex, dict[MultiIndex, complex]]] = {}
+        slice_bits = 0
+        for r in self._check_slices(functional):
+            pairing = self._pairing(r)
+            block = pairing[0]
+            slice_bits |= block
+            for length in range(block.bit_length() - self.space.m + 1, block.bit_length() + 1):
+                by_top[length] = pairing
+        data: dict[MultiIndex, complex] = {}
+        for mi, c in functional.items():
+            rest = mi & slice_bits
+            while rest:  # the term's slices, last first
+                block, table = by_top[rest.bit_length()]
+                bits = mi & block
+                dc = table.get(bits)
+                if dc is None:
+                    break  # some slice variable is left unpaired: the integral is zero
+                c = dc * c
+                if not abs(c) >= PRUNE:
+                    break
+                mi ^= bits
+                rest ^= bits
+            else:
+                data[mi] = data.get(mi, 0j) + c
+        return GrassmannElement._adopt(data)
 
     def _expect_joint(self, functional: GrassmannElement) -> GrassmannElement:
         """All slices live at once: the oracle of the sequential engine."""

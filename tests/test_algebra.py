@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from berezin.algebra import (
     increment,
     PRUNE,
     monomial,
+    multi_index,
     scalar,
     substitute,
 )
@@ -192,16 +194,6 @@ def test_substitution_rejects_even_images():
         substitute(E1, {eta(1): scalar(1.0)})
     with pytest.raises(ValueError):
         substitute(E2, {eta(1): E2, eta(2): E1 * E2 + E3})
-
-
-def test_touches_agrees_with_the_block_set():
-    rng = random.Random(17)
-    pool = (eta(1), eta(2), increment(1, 1), increment(3, 2), aux(1))
-    blocks = [(int(g.family), g.slice) for g in pool] + [(int(Family.INCREMENT), 2)]
-    for _ in range(50):
-        a = random_element(rng, pool)
-        for block in blocks:
-            assert a.touches(block) == (block in a.blocks())
 
 
 def test_scalar_mixing_and_division():
@@ -394,3 +386,90 @@ def test_derivative_and_integral_signs_match_position_counting(gens, data):
     reduced = monomial(gens[:position] + gens[position + 1 :])
     assert derivative_element(monomial(gens), gens[position]) == (-1) ** position * reduced
     assert berezin_integrate(monomial(gens), (gens[position],)) == (-1) ** (len(gens) - position - 1) * reduced
+
+
+# Sums and substitutions against the rules they must keep, on keys that mix
+# every family, with an auxiliary set past the 1024 that the auxiliary mask
+# covers lying below an increment slice in bit order.
+MIXED_POOL = POOL + (increment(1101, 1), aux(2, 1100))
+MIXED_KEYS = st.lists(st.sampled_from(MIXED_POOL), max_size=4, unique=True).map(multi_index)
+# Parts near the prune threshold, and zeros of both signs.
+PARTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(5e-15, 3e-14),
+    st.floats(-3e-14, -5e-15),
+    st.sampled_from((0.0, -0.0)),
+)
+NEAR_PRUNE = st.builds(complex, PARTS, PARTS)
+
+
+def _sum_rule(a: GrassmannElement, b: GrassmannElement, op) -> GrassmannElement:
+    """Copy a, combine every term of b into it, then prune every term."""
+    data = dict(a.items())
+    for mi, c in b.items():
+        data[mi] = op(data.get(mi, 0j), c)
+    return GrassmannElement({mi: c for mi, c in data.items() if abs(c) >= PRUNE})
+
+
+@st.composite
+def near_cancelling_operands(draw):
+    """Two elements whose shared terms often cancel to within about 1e-14."""
+    a = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=6))
+    b = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=4))
+    for mi, c in a.items():
+        if draw(st.booleans()):
+            b[mi] = draw(st.sampled_from((c, -c))) + draw(NEAR_PRUNE)
+    return GrassmannElement(a), GrassmannElement(b)
+
+
+@settings(LAWS, max_examples=300)
+@given(near_cancelling_operands())
+def test_sums_and_differences_prune_as_a_copy_add_and_prune_rule(operands):
+    a, b = operands
+    for got, want in ((a + b, _sum_rule(a, b, operator.add)), (a - b, _sum_rule(a, b, operator.sub))):
+        assert list(got.items()) == list(want.items())
+        assert repr([c for _, c in got.items()]) == repr([c for _, c in want.items()])  # signs of zero too
+
+
+def _substitute_rule(a: GrassmannElement, images: dict) -> GrassmannElement:
+    """Each term as the product of its coefficient and the images of its
+    generators in ``index_generators`` order, summed term by term."""
+    result = ZERO
+    for gens, coeff in a.terms():
+        term = scalar(coeff)
+        for g in gens:
+            term = term * images.get(g, gen(g))
+            if term.is_zero():
+                break
+        result = _sum_rule(result, term, operator.add)
+    return result
+
+
+ODD_IMAGES = st.dictionaries(
+    st.lists(st.sampled_from(MIXED_POOL), min_size=1, max_size=3, unique=True)
+    .filter(lambda g: len(g) % 2)
+    .map(multi_index),
+    NEAR_PRUNE,
+    max_size=3,
+).map(GrassmannElement)
+
+
+@settings(LAWS, max_examples=200)
+@given(
+    st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=8).map(GrassmannElement),
+    st.dictionaries(st.sampled_from(MIXED_POOL), ODD_IMAGES, max_size=4),
+)
+def test_substitution_is_the_product_in_canonical_generator_order(a, images):
+    got = substitute(a, images)
+    want = _substitute_rule(a, images)
+    assert list(got.items()) == list(want.items())
+    assert repr([c for _, c in got.items()]) == repr([c for _, c in want.items()])
+
+
+def test_substitution_prunes_after_each_term_as_a_chain_of_sums():
+    # The first two terms land on θ[1] and cancel below the threshold, so
+    # the sum is pruned there and the last term starts it afresh.
+    e1, e2, theta = (multi_index([g]) for g in (eta(1), eta(2), aux(1)))
+    a = GrassmannElement({e1: 2e-14, e2: -1.5e-14, theta: 1.2e-14})
+    got = substitute(a, {eta(1): gen(aux(1)), eta(2): gen(aux(1))})
+    assert repr(list(got.items())) == repr([(theta, 1.2e-14 + 0j)])

@@ -290,33 +290,62 @@ def pruned_functionals(draw):
     """Random functionals over the increments of up to five slices and two
     auxiliary generators, some coefficients so small that integrating a
     later slice prunes them, and with them every term of an earlier slice.
-    Some functionals hold no increment: their signed zeros survive only if
-    every slice is skipped."""
+    Slice widths differ, so the order in which a term picks up its slices'
+    coefficients shows in the last bits.  Half the terms hold whole slices,
+    which integrate to nonzero values that often meet on one key.  Some
+    functionals hold no increment at all."""
     rng = draw(st.randoms(use_true_random=False))
     steps = rng.randint(1, 5)
-    motion = BrownianMotion(SPACE, Partition.uniform(rng.choice((1e-3, 1.0)), steps))
+    unit = rng.choice((1e-3, 1.0))
+    widths = [unit * rng.uniform(0.5, 1.5) for _ in range(steps)]
+    motion = BrownianMotion(SPACE, Partition(tuple(accumulate(widths, initial=0.0))))
     pool = [aux(1), aux(2)]
-    if rng.random() < 0.8:
+    has_increments = rng.random() < 0.8
+    if has_increments:
         pool += [g for r in range(1, steps + 1) for g in SPACE.increment_ids(r)]
     terms = {}
     for _ in range(rng.randint(1, 10)):
-        gens = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        gens = set(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        if has_increments and rng.random() < 0.5:
+            for r in rng.sample(range(1, steps + 1), rng.randint(1, min(3, steps))):
+                gens.update(SPACE.increment_ids(r))
+        gens = sorted(gens)
         scale = rng.choice((1.0, 1e-12, 2e-14))
         imag = rng.choice((scale * rng.uniform(-1, 1), -0.0))
         terms[multi_index(gens)] = complex(scale * rng.uniform(-1, 1), imag)
     return motion, GrassmannElement(terms)
 
 
+def _per_term_expectation(motion, functional):
+    """Each term alone, integrated with ``_integrate_slice`` over the slices
+    it touches, last first; the results summed in term order, pruned once."""
+    total = {}
+    for mi, c in functional.items():
+        term = GrassmannElement({mi: c})
+        touched = {s for family, s in term.blocks() if family == int(Family.INCREMENT)}
+        for r in sorted(touched, reverse=True):
+            term = _integrate_slice(term, _slice_density(motion.space.increment_ids(r), motion.partition.delta(r)))
+        for key, value in term.items():
+            total[key] = total.get(key, 0j) + value
+    return GrassmannElement(total)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(pruned_functionals())
-def test_sequential_engine_skips_exactly_the_slices_no_term_touches(case):
+def test_one_pass_engine_is_the_per_term_integral_bit_for_bit(case):
     motion, functional = case
-    want = functional  # skip decided on the full block set of each step
-    for r in range(motion.partition.steps, 0, -1):
-        if (int(Family.INCREMENT), r) in want.blocks():
-            want = _integrate_slice(want, _slice_density(SPACE.increment_ids(r), motion.partition.delta(r)))
+    want = _per_term_expectation(motion, functional)
     got = motion.expect_element(functional)
     assert repr(list(got.items())) == repr(list(want.items()))  # signs of zero too
+
+
+@settings(derandomize=True, deadline=None)
+@given(path_functionals())
+def test_one_pass_engine_is_the_per_term_integral_on_path_functionals(case):
+    motion, functional = case
+    want = _per_term_expectation(motion, functional)
+    got = motion.expect_element(functional)
+    assert repr(list(got.items())) == repr(list(want.items()))
 
 
 def test_joint_mode_cap():
