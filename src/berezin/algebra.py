@@ -25,7 +25,7 @@ import cmath
 from enum import Enum, IntEnum
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "Family",
@@ -196,19 +196,28 @@ def _from_sign_key(key: MultiIndex, lift: int) -> MultiIndex:
     return key ^ bits << lift | bits
 
 
-def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
+# A partner lookup: a left key -> the right terms it is paired with, a
+# subsequence of the right operand's items in their order.
+Partners = Callable[[MultiIndex], Iterable[tuple[MultiIndex, complex]]]
+
+
+def _product(
+    left: dict[MultiIndex, complex], right: dict[MultiIndex, complex], partners: Partners | None = None
+) -> dict[MultiIndex, complex]:
     """The terms of a product whose keys are in canonical bit order.
 
     A pair of disjoint keys merges to ``ka | kb``; its permutation sign is
     the parity of the inversions, one popcount of the left term's
     ``_above`` mask.  The factors are ``sign * ca`` for every pair, so every
-    sum rounds the same way in every product.
+    sum rounds the same way in every product.  With ``partners``, each left
+    term meets only the right terms its lookup gives; a key that no skipped
+    pair reaches gets the same sum, in the same order, as without it.
     """
     data: dict[MultiIndex, complex] = {}
     for ka, ca in left.items():
         above = _above(ka)
         plus, minus = 1 * ca, -1 * ca
-        for kb, cb in right.items():
+        for kb, cb in right.items() if partners is None else partners(ka):
             if not ka & kb:
                 mi = ka | kb
                 data[mi] = data.get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
@@ -364,7 +373,11 @@ class GrassmannElement:
     def __neg__(self) -> "GrassmannElement":
         return GrassmannElement._adopt({mi: -c for mi, c in self._terms.items()})
 
-    def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
+    def _multiply(self, other: "GrassmannElement | Scalar", partners: Partners | None = None) -> "GrassmannElement":
+        """``self * other``.  For an element ``other``, ``partners`` limits the
+        pairs as ``_product`` takes it; the lookup may read only a key's
+        increment bits, which sign keys keep, and gives terms of ``other``
+        as stored."""
         if isinstance(other, (int, float, complex)):
             return GrassmannElement({mi: c * other for mi, c in self._terms.items()})
         if not isinstance(other, GrassmannElement):
@@ -372,15 +385,20 @@ class GrassmannElement:
         left, right = self._terms, other._terms
         aux, lift = _sign_frame(self._union() | other._union())
         if not aux:
-            return GrassmannElement._adopt(_product(left, right))
+            return GrassmannElement._adopt(_product(left, right, partners))
         # Multiply the sign keys, whose bit order is canonical, and map back.
+        def signed(ka: MultiIndex) -> list[tuple[MultiIndex, complex]]:
+            return [(_sign_key(kb, aux, lift), cb) for kb, cb in partners(ka)]
+
         product = _product(
             {_sign_key(mi, aux, lift): c for mi, c in left.items()},
             {_sign_key(mi, aux, lift): c for mi, c in right.items()},
+            None if partners is None else signed,
         )
         return GrassmannElement._adopt({_from_sign_key(mi, lift): c for mi, c in product.items()})
 
-    __rmul__ = __mul__  # only scalars reach it, and scalar products commute
+    __mul__ = _multiply
+    __rmul__ = _multiply  # only scalars reach it, and scalar products commute
 
     def __truediv__(self, other: Scalar) -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
@@ -518,18 +536,29 @@ def substitute(
 
 def _odd_images(
     mapping: Mapping[GeneratorId, GrassmannElement]
-) -> dict[GeneratorId, GrassmannElement]:
-    """The images of a substitution map, each checked to be odd (or zero)."""
-    images: dict[GeneratorId, GrassmannElement] = {}
+) -> dict[MultiIndex, GrassmannElement]:
+    """The ``_image_bits`` of a substitution map, each image checked to be odd (or zero)."""
     for g, value in mapping.items():
         if not value.has_parity(Parity.ODD):
             raise ValueError(f"substitution image for {g} must be odd, got {value.parity().value}")
-        images[g] = value
-    return images
+    return _image_bits(mapping.items())
+
+
+def _image_bits(
+    pairs: Iterable[tuple[GeneratorId, GrassmannElement]]
+) -> dict[MultiIndex, GrassmannElement]:
+    """The images of a substitution map by generator bit, as ``_substitute_odd`` takes them."""
+    return {_bit_of(g): image for g, image in pairs}
+
+
+# A pairing filter: a mapped generator's bit and the number of mapped
+# generators after it in a term -> the partner lookup for that factor, or
+# None for all pairs.
+PairingFilter = Callable[[MultiIndex, int], Union[Partners, None]]
 
 
 def _substitute_odd(
-    a: GrassmannElement, images: Mapping[GeneratorId, GrassmannElement]
+    a: GrassmannElement, images: Mapping[MultiIndex, GrassmannElement], pairable: PairingFilter | None = None
 ) -> GrassmannElement:
     """The homomorphism of ``substitute``, for images ``_odd_images`` has checked.
 
@@ -537,18 +566,30 @@ def _substitute_odd(
     and each generator's image; a term with no mapped generator is kept as
     it is, which is that product up to the signs of zero parts.  The terms
     are summed in order, as ``ZERO + t1 + t2 + ...`` sums them.
+
+    ``pairable``, when given, limits the pairs of each product by a mapped
+    generator's image to the partner lookup it gives for that generator
+    and the count of mapped generators still to come.  A caller that needs
+    only some keys of the result passes a filter that skips just the pairs
+    from which no such key can grow: those keys then come out as without it.
     """
-    by_bit = {_bit_of(g): image for g, image in images.items()}
-    mapped = reduce(or_, by_bit, 0)
+    mapped = reduce(or_, images, 0)
     data: dict[MultiIndex, complex] = {}
     for mi, coeff in a.items():
         if not mi & mapped:
             terms = {mi: coeff}
         else:
             term = GrassmannElement.from_scalar(coeff)
+            remaining = (mi & mapped).bit_count()
             for bit in _canonical_bits(mi):
-                factor = by_bit.get(bit)
-                term = term * (factor if factor is not None else GrassmannElement._adopt({bit: 1 + 0j}))
+                factor = images.get(bit)
+                if factor is None:
+                    term = term * GrassmannElement._adopt({bit: 1 + 0j})
+                elif pairable is None:  # through ``*``, so wrappers of ``__mul__`` see it
+                    term = term * factor
+                else:
+                    remaining -= 1
+                    term = term._multiply(factor, pairable(bit, remaining))
                 if term.is_zero():
                     break
             terms = term._terms

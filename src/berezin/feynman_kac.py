@@ -25,13 +25,15 @@ that gap rather than patch it (see ``verify.feynman_kac_suite``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (
+    Family,
     GeneratorId,
     GrassmannElement,
+    MultiIndex,
     ONE,
     Parity,
     ZERO,
@@ -41,6 +43,8 @@ from .algebra import (
     multi_index,
     scalar,
     substitute,
+    PairingFilter,
+    Partners,
     _odd_images,
     _substitute_odd,
 )
@@ -50,6 +54,7 @@ from .wiener import (
     JOINT_CAP,
     BrownianMotion,
     Partition,
+    SliceDensity,
     WienerSpace,
     _integrate_slice,
     _slice_density,
@@ -133,10 +138,32 @@ class HamiltonianSpec:
             raise ValueError("drift fields must be odd")
         if not all(c.has_parity(Parity.EVEN) for row in self.diffusion_fields for c in row):
             raise ValueError("diffusion fields must be even")
+        _reject_increments("a state variable", *(gen(v) for v in self.variables))
+        _reject_increments("the potential", self.potential)
+        _reject_increments("a drift field", *self.drift_fields)
+        _reject_increments("a diffusion field", *(c for row in self.diffusion_fields for c in row))
 
     def second_order_coefficient(self, k: int, j: int, space: WienerSpace) -> GrassmannElement:
         """g^{kj} = e^{ab} c^k_b c^j_a, 0-based k and j."""
         return space.contract(self.diffusion_fields[k], self.diffusion_fields[j])
+
+
+def _reject_increments(what: str, *elements: GrassmannElement) -> None:
+    """Raise a ValueError naming the first increment generator ``elements`` hold.
+
+    The Feynman-Kac routes give increment slices meanings of their own:
+    ``fk_evolve`` reuses slice 1 as its scratch slice, last slice first,
+    and ``fk_bruteforce`` reads slice r as the path's r-th increment.  So an
+    input that held increment generators would get a different plausible
+    number from each route.
+    """
+    for element in elements:
+        for g in element.generators():
+            if g.family == Family.INCREMENT:
+                raise ValueError(
+                    f"{what} holds the increment generator {g!r}; the Feynman-Kac routes reserve "
+                    "increment generators for the path"
+                )
 
 
 def apply_hamiltonian(h: HamiltonianSpec, f: GrassmannElement) -> GrassmannElement:
@@ -290,28 +317,111 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     depend on the slice width only; each distinct width builds them, and
     checks the map's images odd, once per call.  Exact when drift and
     potential vanish; first-order accurate in the mesh otherwise.
+
+    The substitution builds only the terms the slice integral keeps, those
+    whose slice increments form whole component pairs (2k-1, 2k).  Each
+    term of an Euler image adds at most one slice increment, so a partial
+    product with more half-filled pairs than the monomial has mapped
+    generators still to come can never pair, nor can any term built from
+    it; such pairs are never formed (``_pairing_filter``).  Kept terms get
+    the same sums in the same order, so the result is bit for bit that of
+    substituting in full.  ``f`` must not hold increment generators.
     """
-    space = WienerSpace(h.m)
-    ids = space.increment_ids(1)  # one scratch slice, integrated out per step
-    increments = [gen(g) for g in ids]
-    symbols = [gen(v) for v in h.variables]
-    sde = sde_spec(h, symbols)
-    drift, diffusion = [a.body for a in sde.drift], [[c.body for c in row] for row in sde.diffusion]
-    by_width: dict[float, tuple] = {}
+    _reject_increments("fk_evolve's input", f)
+    step_of = _slice_steps(h)
+    by_width: dict[float, _SliceStep] = {}
     current = f
     for r in range(partition.steps, 0, -1):
         dt = partition.delta(r)
         step = by_width.get(dt)
         if step is None:
-            stepped = _euler_step(symbols, dt, drift, diffusion, increments)
-            step = by_width[dt] = (
-                _odd_images(dict(zip(h.variables, stepped))),
-                grassmann_exp(-dt * h.potential),
-                _slice_density(ids, dt),
-            )
-        mapping, weight, density = step
-        current = _integrate_slice(weight * _substitute_odd(current, mapping), density)
+            step = by_width[dt] = step_of(dt)
+        current = step(current)
     return current
+
+
+class _SliceStep(NamedTuple):
+    """One slice width's step of ``fk_evolve``: the Euler images by generator
+    bit, the weight exp(-dt v), the slice density and the images' pairing filter."""
+
+    images: dict[MultiIndex, GrassmannElement]
+    weight: GrassmannElement
+    density: SliceDensity
+    pairable: PairingFilter
+
+    def __call__(self, f: GrassmannElement) -> GrassmannElement:
+        return _integrate_slice(self.weight * _substitute_odd(f, self.images, self.pairable), self.density)
+
+
+def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
+    """``fk_evolve``'s slice steps of ``h``: a function from a slice width to its step."""
+    ids = WienerSpace(h.m).increment_ids(1)  # one scratch slice, integrated out per step
+    increments = [gen(g) for g in ids]
+    symbols = [gen(v) for v in h.variables]
+    sde = sde_spec(h, symbols)
+    drift, diffusion = [a.body for a in sde.drift], [[c.body for c in row] for row in sde.diffusion]
+    firsts = multi_index(ids[0::2])
+
+    def step(dt: float) -> _SliceStep:
+        images = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, diffusion, increments))))
+        density = _slice_density(ids, dt)
+        weight = grassmann_exp(-dt * h.potential)
+        return _SliceStep(images, weight, density, _pairing_filter(images, density[0], firsts))
+
+    return step
+
+
+def _pairing_filter(
+    images: Mapping[MultiIndex, GrassmannElement], block: MultiIndex, firsts: MultiIndex
+) -> PairingFilter:
+    """The pairing filter of one slice for ``_substitute_odd`` (see ``fk_evolve``).
+
+    ``block`` holds the slice's bits and ``firsts`` those of its odd
+    components, each one bit below its pairing partner, so a key with slice
+    bits p has ``((p ^ p >> 1) & firsts).bit_count()`` half-filled pairs.
+    For an image's bit and the count of mapped generators still to come,
+    the filter gives a partner lookup: to each left key, the image's terms,
+    in order, that share no slice bit with it and leave no more half-filled
+    pairs than that count.  It gives None, no filter, when the count is at
+    least the slice's number of pairs.  Lookups and their partner tuples,
+    one per left slice-bit pattern, are built on first use and die with
+    the filter.
+    """
+    terms = {bit: tuple(image.items()) for bit, image in images.items()}
+    pairs = firsts.bit_count()
+    lookups: dict[tuple[MultiIndex, int], Partners] = {}
+
+    def pairable(bit: MultiIndex, remaining: int) -> Partners | None:
+        if remaining >= pairs:
+            return None  # no key has more half-filled pairs: nothing to skip
+        lookup = lookups.get((bit, remaining))
+        if lookup is None:
+            lookup = lookups[bit, remaining] = _partners(terms[bit], remaining, block, firsts)
+        return lookup
+
+    return pairable
+
+
+def _partners(
+    terms: tuple[tuple[MultiIndex, complex], ...], remaining: int, block: MultiIndex, firsts: MultiIndex
+) -> Partners:
+    """The partner lookup of one image and count for ``_pairing_filter``."""
+    by_bits: dict[MultiIndex, tuple[tuple[MultiIndex, complex], ...]] = {}
+
+    def lookup(ka: MultiIndex) -> tuple[tuple[MultiIndex, complex], ...]:
+        bits = ka & block
+        partners = by_bits.get(bits)
+        if partners is None:
+            kept = []
+            for term in terms:
+                kb = term[0]
+                p = bits | kb & block
+                if not kb & bits and ((p ^ p >> 1) & firsts).bit_count() <= remaining:
+                    kept.append(term)
+            partners = by_bits[bits] = tuple(kept)
+        return partners
+
+    return lookup
 
 
 def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
@@ -325,6 +435,7 @@ def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition)
     weight prod_r exp(-dt_r v(zeta_{r-1})), with every slice integrated at once."""
     if partition.steps > JOINT_CAP:
         raise ValueError(f"brute-force mode caps at {JOINT_CAP} slices, got {partition.steps}")
+    _reject_increments("fk_bruteforce's input", f)
     space = WienerSpace(h.m)
     nodes = solve_sde(sde_spec(h, [gen(v) for v in h.variables]), space, partition).values
     weight = ONE

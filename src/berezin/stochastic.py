@@ -25,6 +25,7 @@ from .algebra import (
     GrassmannElement,
     Parity,
     ZERO,
+    _image_bits,
     _odd_images,
     _substitute_odd,
 )
@@ -239,14 +240,18 @@ Node = Sequence[GrassmannElement]  # the components of a process at one node
 
 
 def _coefficients_at(spec: SdeSpec, node: Node) -> tuple[Node, Sequence[Node]]:
-    """Drift and diffusion values at one node, whose components are checked odd once."""
+    """Drift and diffusion values at one node, whose components are checked
+    odd once; coefficients over the drift's variables share one image map."""
+    variables = spec.drift[0].variables
+    images = _odd_images(dict(zip(variables, node)))
 
     def at(f: SupersmoothFunction) -> GrassmannElement:
         if len(f.variables) != len(node):
             raise ValueError(f"expected {len(f.variables)} values, got {len(node)}")
-        return _substitute_odd(f.body, dict(zip(f.variables, node)))
+        if f.variables != variables:
+            return _substitute_odd(f.body, _image_bits(zip(f.variables, node)))
+        return _substitute_odd(f.body, images)
 
-    _odd_images(dict(zip(spec.drift[0].variables, node)))
     return tuple(at(a) for a in spec.drift), tuple(tuple(at(c) for c in row) for row in spec.diffusion)
 
 

@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berezin.algebra import ONE, ZERO, aux, gen, monomial, scalar
+from berezin.algebra import (
+    ONE,
+    PRUNE,
+    ZERO,
+    Family,
+    GrassmannElement,
+    _substitute_odd,
+    aux,
+    eta,
+    gen,
+    increment,
+    index_generators,
+    monomial,
+    multi_index,
+    scalar,
+)
 from berezin.calculus import SupersmoothFunction, apply_kernel, grassmann_delta
 from berezin.feynman_kac import (
     EXAMPLE_NAMES,
@@ -22,9 +39,10 @@ from berezin.feynman_kac import (
     sde_spec,
     semigroup_oracle,
     state_variables,
+    _slice_steps,
 )
 from berezin.verify import ratio_deviation
-from berezin.wiener import Partition, heat_kernel_difference
+from berezin.wiener import Partition, _integrate_slice, heat_kernel_difference
 
 SV = state_variables(2)
 KV = kernel_variables(2)
@@ -214,6 +232,102 @@ def test_bruteforce_agrees_with_the_transfer_engine_on_repeating_widths():
         for f in basis_elements(h.variables):
             gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
             assert gap <= 1e-12, (name, f)
+
+
+@pytest.mark.parametrize("slice_index", [1, 2])
+def test_fk_routes_reject_an_input_with_increment_generators(slice_index):
+    # Slice 1 is fk_evolve's scratch slice, slice 2 the bruteforce path's
+    # second increment: each route would give its own plausible number.
+    f = TOP + gen(increment(slice_index, 1)) * gen(increment(slice_index, 2))
+    h, partition = example_hamiltonian("ou"), Partition((0.0, 0.2, 1.0))
+    for route in (fk_evolve, fk_bruteforce):
+        with pytest.raises(ValueError, match=rf"increment generator δ\[{slice_index};1\]"):
+            route(h, f, partition)
+
+
+D11 = gen(increment(1, 1))
+AN_INCREMENT_IN = {
+    "variables": {"variables": (SV[0], increment(1, 1))},
+    "potential": {"potential": X1 * D11},
+    "drift": {"drift_fields": (D11, ZERO)},
+    "diffusion": {"diffusion_fields": ((ONE, ZERO), (ZERO, X2 * D11))},
+}
+
+
+@pytest.mark.parametrize("field", list(AN_INCREMENT_IN))
+def test_spec_rejects_increment_generators(field):
+    parts = dict(n=2, m=2, potential=ZERO, drift_fields=(ZERO, ZERO), diffusion_fields=((ONE, ZERO), (ZERO, ONE)))
+    with pytest.raises(ValueError, match=r"increment generator δ\[1;1\]"):
+        HamiltonianSpec(**{**parts, "variables": SV, **AN_INCREMENT_IN[field]})
+
+
+@pytest.mark.parametrize("name", ["ou", "quartic", "flat_potential"])
+def test_inputs_with_parameters_match_the_forward_route(name):
+    # θ1 and θ2 are auxiliary generators: they ride along as parameters,
+    # and products with them run on sign keys.
+    theta1, theta2 = gen(aux(1)), gen(aux(2))
+    f = TOP + theta1 * X1 + theta1 * theta2
+    h = example_hamiltonian(name, lam=0.7)
+    for partition in (Partition.uniform(1.0, 2), Partition.uniform(1.0, 4), Partition((0.0, 0.15, 0.45, 1.0))):
+        gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
+        assert gap <= 1e-12, (name, partition)
+
+
+def _random_element(rng, pool, parity, scale):
+    """A random element over ``pool`` of the given parity (0 even, 1 odd)
+    whose coefficients are ordinary, zero-signed or close to the prune
+    threshold."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        gens = sorted(rng.sample(pool, rng.randint(0, len(pool))))
+        if len(gens) % 2 != parity:
+            gens = gens[1:]
+        if len(gens) % 2 == parity:
+            size = rng.choice((scale, scale, 1.01 * PRUNE, 3 * PRUNE, 1.5e-7))
+            imag = rng.choice((-0.0, size * rng.uniform(-1, 1)))
+            terms[multi_index(gens)] = complex(size * rng.uniform(-1, 1), imag)
+    return GrassmannElement(terms)
+
+
+@st.composite
+def fk_slices(draw):
+    """A random even Hamiltonian on up to four state variables with m = 2 or
+    4, an input over the state variables, variable-set-1 and auxiliary
+    parameters, and a slice width down to 1e-9, where the density prunes."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, m = rng.randint(1, 4), rng.choice((2, 4))
+    variables = state_variables(n)
+    fields = list(variables) + ([aux(3)] if rng.random() < 0.2 else [])  # a parameter in the images
+    h = HamiltonianSpec(
+        n,
+        m,
+        _random_element(rng, fields, 0, 0.5),
+        tuple(_random_element(rng, fields, 1, 0.5) for _ in range(n)),
+        tuple(tuple(_random_element(rng, fields, 0, 1.0) for _ in range(m)) for _ in range(n)),
+        variables,
+    )
+    pool = list(variables) + rng.sample([eta(1, 1), eta(2, 1), aux(1), aux(2), aux(1, 70)], rng.randint(0, 3))
+    f = sum((_random_element(rng, pool, rng.randint(0, 1), 1.0) for _ in range(3)), start=ZERO)
+    dt = rng.choice((rng.uniform(0.01, 2.0), 1e-5, 1e-9))
+    return h, f, dt
+
+
+def _whole_pairs(key):
+    """Whether a key's increment generators form whole component pairs."""
+    components = {g.component for g in index_generators(key) if g.family == Family.INCREMENT}
+    return all((c + 1 if c % 2 else c - 1) in components for c in components)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fk_slices())
+def test_the_pairing_filter_keeps_the_slice_step_bit_for_bit(case):
+    h, f, dt = case
+    step = _slice_steps(h)(dt)
+    want = _integrate_slice(step.weight * _substitute_odd(f, step.images), step.density)
+    assert repr(list(step(f).items())) == repr(list(want.items()))  # signs of zero too
+    # The filtered substitution builds exactly the terms the integral keeps.
+    kept = [(k, c) for k, c in _substitute_odd(f, step.images).items() if _whole_pairs(k)]
+    assert repr(list(_substitute_odd(f, step.images, step.pairable).items())) == repr(kept)
 
 
 def test_bruteforce_flat_with_several_slices_is_still_exact():
