@@ -22,8 +22,10 @@ when an auxiliary generator occurs.
 from __future__ import annotations
 
 import cmath
+import re
 from enum import Enum, IntEnum
 from functools import reduce
+from numbers import Real
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -224,23 +226,20 @@ def _product(
     return data
 
 
-# The auxiliary bits of sets 0..1023: a union below this mask that misses it
-# holds no auxiliary generator, which settles most products without a byte scan.
-_AUX_BITS = int.from_bytes(bytes(VARIABLE_SETS) + b"\x00\xff" * 1024, "little")
+def _aux_mask(sets: int) -> int:
+    """The bits of auxiliary sets 0..sets-1."""
+    return int.from_bytes(bytes(VARIABLE_SETS) + b"\x00\xff" * sets, "little")
+
+
+# The auxiliary bits of sets 0..1023, which cover every union up to slice 1023.
+_AUX_BITS = _aux_mask(1024)
 
 
 def _sign_frame(union: MultiIndex) -> tuple[int, int]:
     """The (aux, lift) arguments of ``_sign_key`` for keys within ``union``;
     (0, 0), which leaves keys as they are, when no auxiliary bit occurs."""
-    if union <= _AUX_BITS and not union & _AUX_BITS:
-        return 0, 0
-    raw = union.to_bytes((union.bit_length() + 7) // 8, "little")
-    aux_blocks = raw[VARIABLE_SETS + 1 :: 2]  # auxiliary set s is byte VARIABLE_SETS + 2s + 1
-    if not any(aux_blocks):
-        return 0, 0
-    aux = bytearray(len(raw))
-    aux[VARIABLE_SETS + 1 :: 2] = aux_blocks
-    return int.from_bytes(aux, "little"), union.bit_length()
+    aux = union & (_AUX_BITS if union <= _AUX_BITS else _aux_mask(union.bit_length() // (2 * COMPONENT_CAP)))
+    return (aux, union.bit_length()) if aux else (0, 0)
 
 
 class GrassmannElement:
@@ -643,10 +642,21 @@ def _generator_code(g: GeneratorId) -> str:
     return f"{_FAMILY_CODE[Family(g.family)]}{g.slice}.{g.component}"
 
 
+_CODE = re.compile(r"([via])([0-9]+)\.([0-9]+)")
+
+
 def _generator_from_code(code: str) -> GeneratorId:
-    family = _CODE_FAMILY[code[0]]
-    slice_text, component_text = code[1:].split(".")
-    return GeneratorId(family, int(slice_text), int(component_text))
+    match = _CODE.fullmatch(code)
+    if match is None:
+        raise ValueError(f"malformed generator code {code!r}")
+    return GeneratorId(_CODE_FAMILY[match[1]], int(match[2]), int(match[3]))
+
+
+def _json_coefficient(value: object) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        if all(isinstance(x, Real) and not isinstance(x, bool) for x in value):
+            return complex(*value)
+    raise ValueError(f"value {value!r} is not a [re, im] pair of numbers")
 
 
 def element_to_json(a: GrassmannElement) -> dict[str, list[float]]:
@@ -659,8 +669,16 @@ def element_to_json(a: GrassmannElement) -> dict[str, list[float]]:
 
 
 def element_from_json(data: Mapping[str, Iterable[float]]) -> GrassmannElement:
+    """The element of an ``element_to_json`` mapping.  A key must list distinct
+    generators in canonical order, since the order fixes the sign; a
+    ValueError names a key that does not, or whose code or value is malformed."""
     terms: dict[MultiIndex, complex] = {}
-    for key, (re, im) in data.items():
-        gens = () if key == "1" else tuple(_generator_from_code(c) for c in key.split())
-        terms[multi_index(gens)] = complex(re, im)
+    for key, value in data.items():
+        try:
+            gens = () if key == "1" else tuple(map(_generator_from_code, key.split(" ")))
+            if list(gens) != sorted(gens):
+                raise ValueError("generators out of canonical order")
+            terms[multi_index(gens)] = _json_coefficient(value)
+        except ValueError as exc:
+            raise ValueError(f"serialized key {key!r}: {exc}") from None
     return GrassmannElement(terms)

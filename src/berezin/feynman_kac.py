@@ -56,6 +56,7 @@ from .wiener import (
     Partition,
     SliceDensity,
     WienerSpace,
+    _half_filled_pairs,
     _integrate_slice,
     _slice_density,
     heat_kernel_difference,
@@ -168,24 +169,32 @@ def _reject_increments(what: str, *elements: GrassmannElement) -> None:
 
 def apply_hamiltonian(h: HamiltonianSpec, f: GrassmannElement) -> GrassmannElement:
     """Symbolic action H f, derivatives applied rightmost first."""
+    return _hamiltonian_action(h)(f)
+
+
+def _hamiltonian_action(h: HamiltonianSpec) -> Callable[[GrassmannElement], GrassmannElement]:
+    """``apply_hamiltonian`` of ``h`` as a function of f, each g^{kj} contracted once."""
     space = WienerSpace(h.m)
-    out = h.potential * f
-    for j in range(h.n):
-        df = derivative_element(f, h.variables[j])
-        if not df.is_zero():
-            out = out + 1j * (h.drift_fields[j] * df)
-    for k in range(h.n):
-        dk = derivative_element(f, h.variables[k])
-        if dk.is_zero():
-            continue
+    g = [[h.second_order_coefficient(k, j, space) for j in range(h.n)] for k in range(h.n)]
+
+    def action(f: GrassmannElement) -> GrassmannElement:
+        out = h.potential * f
         for j in range(h.n):
-            ddf = derivative_element(dk, h.variables[j])
-            if ddf.is_zero():
+            df = derivative_element(f, h.variables[j])
+            if not df.is_zero():
+                out = out + 1j * (h.drift_fields[j] * df)
+        for k in range(h.n):
+            dk = derivative_element(f, h.variables[k])
+            if dk.is_zero():
                 continue
-            g = h.second_order_coefficient(k, j, space)
-            if not g.is_zero():
-                out = out + 0.5 * (g * ddf)
-    return out
+            for j in range(h.n):
+                ddf = derivative_element(dk, h.variables[j])
+                if ddf.is_zero() or g[k][j].is_zero():
+                    continue
+                out = out + 0.5 * (g[k][j] * ddf)
+        return out
+
+    return action
 
 
 @dataclass(frozen=True)
@@ -259,7 +268,7 @@ def operator_matrix(
 
 
 def hamiltonian_matrix(h: HamiltonianSpec) -> OperatorMatrix:
-    return operator_matrix(lambda f: apply_hamiltonian(h, f), h.variables)
+    return operator_matrix(_hamiltonian_action(h), h.variables)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -313,18 +322,22 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     dt A + dbeta c, the potential contributes a left-endpoint weight
     exp(-dt v), and the slice increments are integrated out at once by the
     closed-form pairing rule of their heat-kernel density, so the cost is
-    linear in the slice count.  The Euler map, the weight and the density
-    depend on the slice width only; each distinct width builds them, and
-    checks the map's images odd, once per call.  Exact when drift and
-    potential vanish; first-order accurate in the mesh otherwise.
+    linear in the slice count.  The Euler noise sum_a dbeta^a c_a does not
+    depend on the slice width and is built once per call; the Euler map,
+    the weight and the density (``wiener.SliceDensity``) depend on the width
+    only, and each distinct width builds them, and checks the map's images
+    odd, once per call.  Exact when drift and potential vanish; first-order
+    accurate in the mesh otherwise.
 
     The substitution builds only the terms the slice integral keeps, those
     whose slice increments form whole component pairs (2k-1, 2k).  Each
     term of an Euler image adds at most one slice increment, so a partial
     product with more half-filled pairs than the monomial has mapped
     generators still to come can never pair, nor can any term built from
-    it; such pairs are never formed (``_pairing_filter``).  Kept terms get
-    the same sums in the same order, so the result is bit for bit that of
+    it; such pairs are never formed (``_pairing_filter``).  Each pattern's
+    half-filled count comes from ``wiener._half_filled_pairs``, built once
+    per call from the slice's component pairs.  Kept terms get the same
+    sums in the same order, so the result is bit for bit that of
     substituting in full.  ``f`` must not hold increment generators.
     """
     _reject_increments("fk_evolve's input", f)
@@ -356,54 +369,54 @@ class _SliceStep(NamedTuple):
 def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
     """``fk_evolve``'s slice steps of ``h``: a function from a slice width to its step."""
     ids = WienerSpace(h.m).increment_ids(1)  # one scratch slice, integrated out per step
-    increments = [gen(g) for g in ids]
     symbols = [gen(v) for v in h.variables]
     sde = sde_spec(h, symbols)
-    drift, diffusion = [a.body for a in sde.drift], [[c.body for c in row] for row in sde.diffusion]
-    firsts = multi_index(ids[0::2])
+    drift = [a.body for a in sde.drift]
+    increments = [gen(g) for g in ids]
+    noise = [WienerSpace.noise(increments, [c.body for c in row]) for row in sde.diffusion]
+    half_filled = _half_filled_pairs(ids)
 
     def step(dt: float) -> _SliceStep:
-        images = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, diffusion, increments))))
+        images = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, noise))))
         density = _slice_density(ids, dt)
         weight = grassmann_exp(-dt * h.potential)
-        return _SliceStep(images, weight, density, _pairing_filter(images, density[0], firsts))
+        return _SliceStep(images, weight, density, _pairing_filter(images, density, half_filled))
 
     return step
 
 
 def _pairing_filter(
-    images: Mapping[MultiIndex, GrassmannElement], block: MultiIndex, firsts: MultiIndex
+    images: Mapping[MultiIndex, GrassmannElement], density: SliceDensity, half_filled: dict[MultiIndex, int]
 ) -> PairingFilter:
     """The pairing filter of one slice for ``_substitute_odd`` (see ``fk_evolve``).
 
-    ``block`` holds the slice's bits and ``firsts`` those of its odd
-    components, each one bit below its pairing partner, so a key with slice
-    bits p has ``((p ^ p >> 1) & firsts).bit_count()`` half-filled pairs.
+    ``half_filled`` maps each pattern of the slice's bits to its number of
+    half-filled pairs (``_half_filled_pairs``).
     For an image's bit and the count of mapped generators still to come,
     the filter gives a partner lookup: to each left key, the image's terms,
     in order, that share no slice bit with it and leave no more half-filled
-    pairs than that count.  It gives None, no filter, when the count is at
-    least the slice's number of pairs.  Lookups and their partner tuples,
-    one per left slice-bit pattern, are built on first use and die with
-    the filter.
+    pairs than that count.  It gives None, no filter, when no pattern has
+    more half-filled pairs than the count.  Lookups and their partner
+    tuples, one per left slice-bit pattern, are built on first use and die
+    with the filter.
     """
     terms = {bit: tuple(image.items()) for bit, image in images.items()}
-    pairs = firsts.bit_count()
+    most = max(half_filled.values())
     lookups: dict[tuple[MultiIndex, int], Partners] = {}
 
     def pairable(bit: MultiIndex, remaining: int) -> Partners | None:
-        if remaining >= pairs:
-            return None  # no key has more half-filled pairs: nothing to skip
+        if remaining >= most:
+            return None  # nothing to skip
         lookup = lookups.get((bit, remaining))
         if lookup is None:
-            lookup = lookups[bit, remaining] = _partners(terms[bit], remaining, block, firsts)
+            lookup = lookups[bit, remaining] = _partners(terms[bit], remaining, density.bits, half_filled)
         return lookup
 
     return pairable
 
 
 def _partners(
-    terms: tuple[tuple[MultiIndex, complex], ...], remaining: int, block: MultiIndex, firsts: MultiIndex
+    terms: tuple[tuple[MultiIndex, complex], ...], remaining: int, block: MultiIndex, half_filled: dict[MultiIndex, int]
 ) -> Partners:
     """The partner lookup of one image and count for ``_pairing_filter``."""
     by_bits: dict[MultiIndex, tuple[tuple[MultiIndex, complex], ...]] = {}
@@ -412,12 +425,7 @@ def _partners(
         bits = ka & block
         partners = by_bits.get(bits)
         if partners is None:
-            kept = []
-            for term in terms:
-                kb = term[0]
-                p = bits | kb & block
-                if not kb & bits and ((p ^ p >> 1) & firsts).bit_count() <= remaining:
-                    kept.append(term)
+            kept = [term for term in terms if not term[0] & bits and half_filled[bits | term[0] & block] <= remaining]
             partners = by_bits[bits] = tuple(kept)
         return partners
 

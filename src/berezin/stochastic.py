@@ -255,15 +255,10 @@ def _coefficients_at(spec: SdeSpec, node: Node) -> tuple[Node, Sequence[Node]]:
     return tuple(at(a) for a in spec.drift), tuple(tuple(at(c) for c in row) for row in spec.diffusion)
 
 
-def _euler_step(
-    base: Node, dt: float, drift_vals: Node, diffusion_vals: Sequence[Node], increments: Node
-) -> tuple[GrassmannElement, ...]:
-    """The left-endpoint Euler step base + dt * A + sum_a dbeta^a C_{., a},
-    componentwise, for coefficient values A and C already evaluated."""
-    return tuple(
-        x + dt * a + WienerSpace.noise(increments, row)
-        for x, a, row in zip(base, drift_vals, diffusion_vals)
-    )
+def _euler_step(base: Node, dt: float, drift_vals: Node, noise: Node) -> tuple[GrassmannElement, ...]:
+    """The left-endpoint Euler step base + dt * A + noise, componentwise, for
+    drift values A and noise sum_a dbeta^a C_{., a} already evaluated."""
+    return tuple(x + dt * a + n for x, a, n in zip(base, drift_vals, noise))
 
 
 def _euler_node(
@@ -272,9 +267,10 @@ def _euler_node(
     """Node r of the step map: ``base`` advanced by the step whose
     coefficients are evaluated at ``prev``.  The sweep passes node r-1
     twice, a Picard pass its new and its previous iterate."""
-    return _euler_step(
-        base, partition.delta(r), *_coefficients_at(spec, prev), space.increment_elements(r)
-    )
+    drift_vals, diffusion_vals = _coefficients_at(spec, prev)
+    increments = space.increment_elements(r)
+    noise = tuple(space.noise(increments, row) for row in diffusion_vals)
+    return _euler_step(base, partition.delta(r), drift_vals, noise)
 
 
 def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> AdaptedProcess:

@@ -6,7 +6,12 @@ per-slice increment generators, and every expectation is an exact Berezin
 integral.  Each slice is integrated by the closed-form pairing (Wick) rule
 of the Gaussian Berezin integral: a term survives only when its slice
 generators are whole component pairs, and it picks up the density
-coefficient of the complementary pairs.  The increments of distinct slices
+coefficient of the complementary pairs.  One value holds that rule for a
+slice, ``SliceDensity``: the slice's bits and its pairing table, read off
+``heat_kernel``.  ``_integrate_slice``, ``BrownianMotion`` and the pairing
+filter of ``feynman_kac.fk_evolve`` all read it, and they build slice masks
+from generator ids only, so no bit position is assumed outside ``algebra``.
+The increments of distinct slices
 are independent, so the default engine takes an expectation in one pass
 over the functional's terms: each term walks only the slices its key
 touches, last slice first, multiplying in one pairing coefficient per
@@ -23,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +134,8 @@ class WienerSpace:
 
     def eps(self, a: int, b: int) -> int:
         """Pairing e^{ab} for 1-based component indices."""
+        if not (1 <= a <= self.m and 1 <= b <= self.m):
+            raise ValueError(f"components ({a}, {b}) are outside 1..{self.m}")
         if a + 1 == b and a % 2 == 1:
             return 1
         if b + 1 == a and b % 2 == 1:
@@ -203,23 +210,42 @@ def heat_kernel_difference(
     return SupersmoothFunction(_gaussian(points, t), tuple(first) + tuple(second))
 
 
-# One slice's density as the pairing rule reads it: the slice's bits, and for
-# each heat-kernel term in product order, the slice bits of the terms it
-# meets (the complement of its own) with its coefficient.
-SliceDensity = tuple[MultiIndex, tuple[tuple[MultiIndex, complex], ...]]
+class SliceDensity(NamedTuple):
+    """One slice's heat-kernel density as the pairing rule reads it.
+
+    ``bits`` holds the slice's generators.  ``table`` maps the slice bits a
+    term must hold, a union of whole component pairs, to the density
+    coefficient of the complementary pairs, in ``heat_kernel``'s term order.
+    """
+
+    bits: MultiIndex
+    table: dict[MultiIndex, complex]
+
+
+def _slice_bits(ids: Sequence[GeneratorId]) -> MultiIndex:
+    """The bits of one slice's variables, which must be the components 1..m
+    of one block in canonical order, m even, as ``WienerSpace.increment_ids``
+    gives them."""
+    if not ids or len(ids) % 2 or list(ids) != [GeneratorId(*ids[0][:2], a) for a in range(1, len(ids) + 1)]:
+        raise ValueError("slice variables must be the components 1..m of one block, in order, m even")
+    return multi_index(ids)
 
 
 def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
-    """The heat-kernel density of one slice, in the form ``_integrate_slice`` takes.
+    """The heat-kernel density of one slice on ``ids`` (see ``_slice_bits``).
+    The coefficients are read off ``heat_kernel`` itself, so they keep its
+    rounding and its pruning."""
+    bits = _slice_bits(ids)
+    return SliceDensity(bits, {bits ^ mi: c for mi, c in heat_kernel(ids, t).body.items()})
 
-    ``ids`` must be the components 1..m of one block in canonical order, as
-    ``WienerSpace.increment_ids`` gives them.  The coefficients are read off
-    ``heat_kernel`` itself, so they keep its rounding and its pruning.
-    """
-    if not ids or list(ids) != [GeneratorId(ids[0].family, ids[0].slice, a) for a in range(1, len(ids) + 1)]:
-        raise ValueError("slice variables must be the components 1..m of one block, in order")
-    block = multi_index(ids)
-    return block, tuple((block ^ mi, c) for mi, c in heat_kernel(ids, t).body.items())
+
+def _half_filled_pairs(ids: Sequence[GeneratorId]) -> dict[MultiIndex, int]:
+    """Every pattern of a slice's bits -> the number of component pairs
+    (2k-1, 2k) it holds one generator of; ``ids`` as ``_slice_bits`` takes them."""
+    _slice_bits(ids)
+    pairs = [multi_index(ids[k : k + 2]) for k in range(0, len(ids), 2)]
+    patterns = (multi_index(subset) for size in range(len(ids) + 1) for subset in combinations(ids, size))
+    return {p: sum(p & pair not in (0, pair) for pair in pairs) for p in patterns}
 
 
 def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannElement:
@@ -233,11 +259,11 @@ def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannEle
     integrates to zero.  Sums run in the product's order (density terms
     outer, terms of ``a`` inner), so every coefficient rounds as it did.
     """
-    block, terms = density
+    bits = density.bits
     data: dict[MultiIndex, complex] = {}
-    for mask, dc in terms:
+    for mask, dc in density.table.items():
         for mi, c in a.items():
-            if mi & block == mask:
+            if mi & bits == mask:
                 key = mi ^ mask if mask else mi  # no copy of a key that keeps its bits
                 data[key] = data.get(key, 0j) + dc * c
     return GrassmannElement._adopt(data)
@@ -273,17 +299,20 @@ class BrownianMotion:
     Each slice r carries m fresh increment generators; the path value at
     node r is the sum of the first r increments.  An expectation is one
     pass over the functional's terms: a term meets the slices it touches,
-    last slice first, and takes from each slice's pairing table (its slice
-    bits → the heat-kernel density coefficient of the complementary pairs,
-    read off ``_slice_density`` once per slice and instance) one factor, or
-    is dropped.  That equals integrating each term alone with
-    ``_integrate_slice`` and summing, bit for bit.
+    last slice first, and takes from each slice's pairing table (the
+    ``SliceDensity`` that ``_slice_density`` gives, read once per slice and
+    instance) one factor, or is dropped.  The slice that holds a term's
+    highest remaining bit is looked up by that bit's length, under which
+    each of the slice's generator bits files the slice.  That equals
+    integrating each term alone with ``_integrate_slice`` and summing, bit
+    for bit.
     """
 
     def __init__(self, space: WienerSpace, partition: Partition):
         self.space = space
         self.partition = partition
-        self._pairings: dict[int, tuple[MultiIndex, dict[MultiIndex, complex]]] = {}
+        self._densities: dict[int, SliceDensity] = {}
+        self._by_top: dict[int, SliceDensity] = {}
 
     def increments(self, r: int) -> tuple[GrassmannElement, ...]:
         if not 1 <= r <= self.partition.steps:
@@ -324,27 +353,25 @@ class BrownianMotion:
                 raise ValueError(f"functional references undeclared slice {slice_index}")
         return slices
 
-    def _pairing(self, r: int) -> tuple[MultiIndex, dict[MultiIndex, complex]]:
-        """Slice r's bits and its pairing table (the slice bits a term must
-        hold → density coefficient), read off ``_slice_density`` once."""
-        pairing = self._pairings.get(r)
-        if pairing is None:
-            block, terms = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
-            pairing = self._pairings[r] = (block, dict(terms))
-        return pairing
+    def _density(self, r: int) -> SliceDensity:
+        """Slice r's density, read off ``_slice_density`` once per instance and
+        filed under the bit length of each of the slice's generator bits."""
+        density = self._densities.get(r)
+        if density is None:
+            ids = self.space.increment_ids(r)
+            density = self._densities[r] = _slice_density(ids, self.partition.delta(r))
+            for g in ids:
+                self._by_top[multi_index((g,)).bit_length()] = density
+        return density
 
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:
         """The one pass of the class docstring; pruned once, at the end."""
-        # The pairing of the slice that holds a term's highest remaining
-        # increment bit, by that bit's length (a block is m contiguous bits).
-        by_top: dict[int, tuple[MultiIndex, dict[MultiIndex, complex]]] = {}
         slice_bits = 0
         for r in self._check_slices(functional):
-            pairing = self._pairing(r)
-            block = pairing[0]
-            slice_bits |= block
-            for length in range(block.bit_length() - self.space.m + 1, block.bit_length() + 1):
-                by_top[length] = pairing
+            slice_bits |= self._density(r).bits
+        # A key's length is that of its highest bit, which lies in its last
+        # slice: increment bits follow the canonical order.
+        by_top = self._by_top
         data: dict[MultiIndex, complex] = {}
         for mi, c in functional.items():
             rest = mi & slice_bits

@@ -28,6 +28,7 @@ from berezin.algebra import (
     scalar,
     substitute,
 )
+from berezin.algebra import _sign_frame
 from berezin.verify import random_element
 
 E1, E2, E3, E4 = (gen(eta(i)) for i in range(1, 5))
@@ -290,6 +291,34 @@ def test_generators_beyond_the_block_caps_are_rejected():
         gen(eta(1, 4))
     with pytest.raises(ValueError, match="capped at 4"):
         monomial((eta(1), eta(2, 7)))
+
+
+def test_serialized_keys_out_of_canonical_order_are_refused():
+    # η[2]·η[1] is -η[1]η[2]: reading the key as sorted would flip the sign.
+    with pytest.raises(ValueError, match="'v0.2 v0.1'.*canonical order"):
+        element_from_json({"v0.2 v0.1": [1, 0]})
+    with pytest.raises(ValueError, match="'a0.1 i3.1'"):
+        element_from_json({"1": [1.0, 0.0], "a0.1 i3.1": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("key", ["x0.1", "v0.1 x1.2", "v0", "v0.1.2", "v-1.1", "i2 .1", "", "v0.1  v0.2"])
+def test_serialized_keys_with_malformed_codes_are_refused(key):
+    with pytest.raises(ValueError, match=f"serialized key {key!r}"):
+        element_from_json({key: [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("value", [[1.0], [1.0, 0.0, 0.0], "10", [1.0, "0"], [True, 0.0], 1.0, {"re": 1.0, "im": 0.0}])
+def test_serialized_values_that_are_not_pairs_are_refused(value):
+    with pytest.raises(ValueError, match="'v0.1'.*not a \\[re, im\\] pair"):
+        element_from_json({"v0.1": value})
+
+
+def test_sign_frame_lifts_only_the_auxiliary_bits_of_the_union():
+    wide = multi_index([eta(1), increment(1101, 1), aux(1, 3), aux(2, 1100)])  # past the 1024 sets of _AUX_BITS
+    assert _sign_frame(wide) == (multi_index([aux(1, 3), aux(2, 1100)]), wide.bit_length())
+    assert _sign_frame(multi_index([eta(1), increment(1101, 1)])) == (0, 0)
+    narrow = multi_index([increment(2, 1), aux(1, 0)])
+    assert _sign_frame(narrow) == (multi_index([aux(1, 0)]), narrow.bit_length())
 
 
 def test_serialized_elements_beyond_the_block_caps_are_refused():

@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from berezin.wiener import (
     heat_kernel,
     heat_kernel_difference,
     mu_distance,
+    _half_filled_pairs,
     _integrate_slice,
     _slice_density,
 )
@@ -82,6 +83,14 @@ def test_pairing_matrix_is_block_antisymmetric():
     assert space.eps(1, 2) == 1 and space.eps(2, 1) == -1 and space.eps(1, 3) == 0
     with pytest.raises(ValueError):
         WienerSpace(3)
+
+
+def test_pairing_rejects_components_outside_the_space():
+    space = WienerSpace(2)
+    for a, b in ((3, 4), (-1, 0), (0, 1), (2, 3)):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            space.eps(a, b)
+    assert WienerSpace(8).eps(7, 8) == 1
 
 
 def test_contract_matches_the_pairing_double_sum():
@@ -241,11 +250,37 @@ def test_pairing_rule_is_the_slice_product_and_strip_bit_for_bit(case):
     assert repr(list(got.items())) == repr(list(want.items()))  # signs of zero too
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("r", [1, 70])  # slice 70 lies past bit 1024
+def test_slice_density_is_the_heat_kernel_by_complement(m, r):
+    ids = WienerSpace(m).increment_ids(r)
+    for t in (0.7, 1e-4):  # at 1e-4, m = 8 prunes t**4
+        density = _slice_density(ids, t)
+        assert density.bits == multi_index(ids)
+        body = heat_kernel(ids, t).body
+        assert list(density.table.items()) == [(density.bits ^ mi, c) for mi, c in body.items()]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("r", [1, 70])
+def test_half_filled_pairs_counts_each_pattern_by_generator_ids(m, r):
+    ids = WienerSpace(m).increment_ids(r)
+    counts = _half_filled_pairs(ids)
+    assert len(counts) == 2**m
+    for size in range(m + 1):
+        for subset in combinations(ids, size):
+            components = {g.component for g in subset}
+            want = sum((k in components) != (k + 1 in components) for k in range(1, m, 2))
+            assert counts[multi_index(subset)] == want
+
+
 def test_slice_density_needs_one_whole_block_in_order():
     ids = WienerSpace(4).increment_ids(1)
     for bad in (ids[:3], ids[::-1], ids[:2] + WienerSpace(2).increment_ids(2)):
         with pytest.raises(ValueError):
             _slice_density(bad, 1.0)
+        with pytest.raises(ValueError):
+            _half_filled_pairs(bad)
 
 
 @st.composite
