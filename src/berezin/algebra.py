@@ -27,7 +27,7 @@ from enum import Enum, IntEnum
 from functools import reduce
 from numbers import Real
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "Family",
@@ -198,28 +198,19 @@ def _from_sign_key(key: MultiIndex, lift: int) -> MultiIndex:
     return key ^ bits << lift | bits
 
 
-# A partner lookup: a left key -> the right terms it is paired with, a
-# subsequence of the right operand's items in their order.
-Partners = Callable[[MultiIndex], Iterable[tuple[MultiIndex, complex]]]
-
-
-def _product(
-    left: dict[MultiIndex, complex], right: dict[MultiIndex, complex], partners: Partners | None = None
-) -> dict[MultiIndex, complex]:
+def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
     """The terms of a product whose keys are in canonical bit order.
 
     A pair of disjoint keys merges to ``ka | kb``; its permutation sign is
     the parity of the inversions, one popcount of the left term's
     ``_above`` mask.  The factors are ``sign * ca`` for every pair, so every
-    sum rounds the same way in every product.  With ``partners``, each left
-    term meets only the right terms its lookup gives; a key that no skipped
-    pair reaches gets the same sum, in the same order, as without it.
+    sum rounds the same way in every product.
     """
     data: dict[MultiIndex, complex] = {}
     for ka, ca in left.items():
         above = _above(ka)
         plus, minus = 1 * ca, -1 * ca
-        for kb, cb in right.items() if partners is None else partners(ka):
+        for kb, cb in right.items():
             if not ka & kb:
                 mi = ka | kb
                 data[mi] = data.get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
@@ -372,11 +363,7 @@ class GrassmannElement:
     def __neg__(self) -> "GrassmannElement":
         return GrassmannElement._adopt({mi: -c for mi, c in self._terms.items()})
 
-    def _multiply(self, other: "GrassmannElement | Scalar", partners: Partners | None = None) -> "GrassmannElement":
-        """``self * other``.  For an element ``other``, ``partners`` limits the
-        pairs as ``_product`` takes it; the lookup may read only a key's
-        increment bits, which sign keys keep, and gives terms of ``other``
-        as stored."""
+    def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
             return GrassmannElement({mi: c * other for mi, c in self._terms.items()})
         if not isinstance(other, GrassmannElement):
@@ -384,20 +371,15 @@ class GrassmannElement:
         left, right = self._terms, other._terms
         aux, lift = _sign_frame(self._union() | other._union())
         if not aux:
-            return GrassmannElement._adopt(_product(left, right, partners))
+            return GrassmannElement._adopt(_product(left, right))
         # Multiply the sign keys, whose bit order is canonical, and map back.
-        def signed(ka: MultiIndex) -> list[tuple[MultiIndex, complex]]:
-            return [(_sign_key(kb, aux, lift), cb) for kb, cb in partners(ka)]
-
         product = _product(
             {_sign_key(mi, aux, lift): c for mi, c in left.items()},
             {_sign_key(mi, aux, lift): c for mi, c in right.items()},
-            None if partners is None else signed,
         )
         return GrassmannElement._adopt({_from_sign_key(mi, lift): c for mi, c in product.items()})
 
-    __mul__ = _multiply
-    __rmul__ = _multiply  # only scalars reach it, and scalar products commute
+    __rmul__ = __mul__  # only scalars reach it, and scalar products commute
 
     def __truediv__(self, other: Scalar) -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
@@ -550,27 +532,13 @@ def _image_bits(
     return {_bit_of(g): image for g, image in pairs}
 
 
-# A pairing filter: a mapped generator's bit and the number of mapped
-# generators after it in a term -> the partner lookup for that factor, or
-# None for all pairs.
-PairingFilter = Callable[[MultiIndex, int], Union[Partners, None]]
-
-
-def _substitute_odd(
-    a: GrassmannElement, images: Mapping[MultiIndex, GrassmannElement], pairable: PairingFilter | None = None
-) -> GrassmannElement:
+def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannElement]) -> GrassmannElement:
     """The homomorphism of ``substitute``, for images ``_odd_images`` has checked.
 
     A term is the product, in canonical generator order, of its coefficient
     and each generator's image; a term with no mapped generator is kept as
     it is, which is that product up to the signs of zero parts.  The terms
     are summed in order, as ``ZERO + t1 + t2 + ...`` sums them.
-
-    ``pairable``, when given, limits the pairs of each product by a mapped
-    generator's image to the partner lookup it gives for that generator
-    and the count of mapped generators still to come.  A caller that needs
-    only some keys of the result passes a filter that skips just the pairs
-    from which no such key can grow: those keys then come out as without it.
     """
     mapped = reduce(or_, images, 0)
     data: dict[MultiIndex, complex] = {}
@@ -579,16 +547,9 @@ def _substitute_odd(
             terms = {mi: coeff}
         else:
             term = GrassmannElement.from_scalar(coeff)
-            remaining = (mi & mapped).bit_count()
             for bit in _canonical_bits(mi):
                 factor = images.get(bit)
-                if factor is None:
-                    term = term * GrassmannElement._adopt({bit: 1 + 0j})
-                elif pairable is None:  # through ``*``, so wrappers of ``__mul__`` see it
-                    term = term * factor
-                else:
-                    remaining -= 1
-                    term = term._multiply(factor, pairable(bit, remaining))
+                term = term * (GrassmannElement._adopt({bit: 1 + 0j}) if factor is None else factor)
                 if term.is_zero():
                     break
             terms = term._terms
@@ -599,6 +560,19 @@ def _substitute_odd(
             if not abs(data[key]) >= PRUNE:
                 del data[key]
     return GrassmannElement._adopt(data)
+
+
+def _split_terms(a: GrassmannElement, bits: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, complex]]:
+    """Each term c X of ``a`` as (S, T, sigma c): S = X & ``bits``, T the rest
+    of X, and sigma the sign of the product S T = sigma X in canonical order,
+    -1 when an odd number of (T, S) generator pairs have the one of T first."""
+    aux, lift = _sign_frame(a._union() | bits)
+    for mi, c in a.items():
+        s = mi & bits
+        t = mi ^ s
+        if t and (_above(_sign_key(s, aux, lift)) & _sign_key(t, aux, lift)).bit_count() & 1:
+            c = -c
+        yield s, t, c
 
 
 def _canonical_bits(mi: MultiIndex) -> list[MultiIndex]:

@@ -10,8 +10,9 @@ d zeta = dt A(zeta) + dbeta^a c_a(zeta) with A = -i alpha, is built once by
   basis, the arbiter of truth;
 * ``fk_evolve``: the probabilistic route, one Euler step of the SDE per
   time slice (the step of ``solve_sde``) with the potential accumulated as
-  a multiplicative weight, evaluated as a one-slice transfer operator so
-  only n + m generators are ever live;
+  a multiplicative weight, evaluated as a one-slice transfer operator whose
+  Gaussian slice integral is taken in closed form, so only the n state
+  generators are ever live;
 * ``fk_bruteforce``: the forward route, ``solve_sde`` with every slice
   kept live, for small grids, validating the transfer-operator contraction.
 
@@ -25,7 +26,8 @@ that gap rather than patch it (see ``verify.feynman_kac_suite``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +45,8 @@ from .algebra import (
     multi_index,
     scalar,
     substitute,
-    PairingFilter,
-    Partners,
     _odd_images,
+    _split_terms,
     _substitute_odd,
 )
 from .calculus import SupersmoothFunction, derivative_element, grassmann_delta
@@ -54,11 +55,7 @@ from .wiener import (
     JOINT_CAP,
     BrownianMotion,
     Partition,
-    SliceDensity,
     WienerSpace,
-    _half_filled_pairs,
-    _integrate_slice,
-    _slice_density,
     heat_kernel_difference,
 )
 
@@ -125,8 +122,7 @@ class HamiltonianSpec:
     variables: tuple[GeneratorId, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2:
-            raise ValueError("the Brownian dimension m must be even and positive")
+        WienerSpace(self.m)  # rejects m outside the even integers 2..8
         if len(self.variables) != self.n:
             raise ValueError("need one state variable per dimension")
         if len(self.drift_fields) != self.n or len(self.diffusion_fields) != self.n:
@@ -152,11 +148,11 @@ class HamiltonianSpec:
 def _reject_increments(what: str, *elements: GrassmannElement) -> None:
     """Raise a ValueError naming the first increment generator ``elements`` hold.
 
-    The Feynman-Kac routes give increment slices meanings of their own:
-    ``fk_evolve`` reuses slice 1 as its scratch slice, last slice first,
-    and ``fk_bruteforce`` reads slice r as the path's r-th increment.  So an
-    input that held increment generators would get a different plausible
-    number from each route.
+    ``fk_bruteforce`` reads increment slice r as the path's r-th increment
+    and integrates it out, while ``fk_evolve``, which builds no increment
+    generator, would carry it through as a parameter.  So an input that
+    held increment generators would get a different plausible number from
+    each route.
     """
     for element in elements:
         for g in element.generators():
@@ -172,10 +168,15 @@ def apply_hamiltonian(h: HamiltonianSpec, f: GrassmannElement) -> GrassmannEleme
     return _hamiltonian_action(h)(f)
 
 
+def _second_order_table(h: HamiltonianSpec) -> list[list[GrassmannElement]]:
+    """Every g^{kj} of ``h``, 0-based k and j, each contracted once."""
+    space = WienerSpace(h.m)
+    return [[h.second_order_coefficient(k, j, space) for j in range(h.n)] for k in range(h.n)]
+
+
 def _hamiltonian_action(h: HamiltonianSpec) -> Callable[[GrassmannElement], GrassmannElement]:
     """``apply_hamiltonian`` of ``h`` as a function of f, each g^{kj} contracted once."""
-    space = WienerSpace(h.m)
-    g = [[h.second_order_coefficient(k, j, space) for j in range(h.n)] for k in range(h.n)]
+    g = _second_order_table(h)
 
     def action(f: GrassmannElement) -> GrassmannElement:
         out = h.potential * f
@@ -318,27 +319,17 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     """Path-expectation estimate of exp(-H t) f as a function of the start point.
 
     One Euler step of ``sde_spec(h, x)`` per slice from the symbolic state x,
-    where the coefficients are the fields themselves: the state moves by
-    dt A + dbeta c, the potential contributes a left-endpoint weight
-    exp(-dt v), and the slice increments are integrated out at once by the
-    closed-form pairing rule of their heat-kernel density, so the cost is
-    linear in the slice count.  The Euler noise sum_a dbeta^a c_a does not
-    depend on the slice width and is built once per call; the Euler map,
-    the weight and the density (``wiener.SliceDensity``) depend on the width
-    only, and each distinct width builds them, and checks the map's images
-    odd, once per call.  Exact when drift and potential vanish; first-order
-    accurate in the mesh otherwise.
-
-    The substitution builds only the terms the slice integral keeps, those
-    whose slice increments form whole component pairs (2k-1, 2k).  Each
-    term of an Euler image adds at most one slice increment, so a partial
-    product with more half-filled pairs than the monomial has mapped
-    generators still to come can never pair, nor can any term built from
-    it; such pairs are never formed (``_pairing_filter``).  Each pattern's
-    half-filled count comes from ``wiener._half_filled_pairs``, built once
-    per call from the slice's component pairs.  Kept terms get the same
-    sums in the same order, so the result is bit for bit that of
-    substituting in full.  ``f`` must not hold increment generators.
+    where the coefficients are the fields themselves: the state moves to
+    u + xi, with u = x + dt A(x) and the Gaussian noise xi^j = dbeta^a c^j_a(x),
+    and the potential contributes a left-endpoint weight exp(-dt v).  The
+    slice's Berezin integral over the increments has the closed form
+    E[f(u + xi)] = sum_k ((-dt)^k / k!) (G^k f)(u), with G = (1/2) g^{kj} d_j d_k
+    the second-order part of H, its coefficients frozen at x; so no
+    increment generator is ever built and the cost is linear in the slice
+    count.  Each distinct width builds its step once per call, and each
+    state monomial's image on first use (``_slice_steps``).  Exact when
+    drift and potential vanish; first-order accurate in the mesh
+    otherwise.  ``f`` must not hold increment generators.
     """
     _reject_increments("fk_evolve's input", f)
     step_of = _slice_steps(h)
@@ -354,82 +345,85 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
 
 
 class _SliceStep(NamedTuple):
-    """One slice width's step of ``fk_evolve``: the Euler images by generator
-    bit, the weight exp(-dt v), the slice density and the images' pairing filter."""
+    """One slice width's step of ``fk_evolve``: the weight exp(-dt v), the
+    bits of the state variables, and the image of a state monomial by its bits."""
 
-    images: dict[MultiIndex, GrassmannElement]
     weight: GrassmannElement
-    density: SliceDensity
-    pairable: PairingFilter
+    state: MultiIndex
+    image: Callable[[MultiIndex], GrassmannElement]
 
     def __call__(self, f: GrassmannElement) -> GrassmannElement:
-        return _integrate_slice(self.weight * _substitute_odd(f, self.images, self.pairable), self.density)
+        """weight * sum of c sigma image(S) theta_T over the terms c X of ``f``,
+        where X = sigma eta_S theta_T splits off the parameters theta_T."""
+        by_rest: dict[MultiIndex, dict[MultiIndex, complex]] = {}
+        for s, t, c in _split_terms(f, self.state):
+            acc = by_rest.setdefault(t, {})
+            for key, value in self.image(s).items():
+                acc[key] = acc.get(key, 0j) + c * value
+        total = ZERO
+        for t, acc in by_rest.items():
+            part = GrassmannElement(acc)
+            total = total + (part * GrassmannElement({t: 1.0}) if t else part)
+        return self.weight * total
 
 
 def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
-    """``fk_evolve``'s slice steps of ``h``: a function from a slice width to its step."""
-    ids = WienerSpace(h.m).increment_ids(1)  # one scratch slice, integrated out per step
+    """``fk_evolve``'s slice steps of ``h``: a function from a slice width to its step.
+
+    The image of a state monomial eta_S is sum_P (-dt)^|P| g_P (D_P eta_S)(u)
+    over the sets P of disjoint index pairs k < j, with g_P the product of
+    their g^{kj} and D_P their d_j d_k (``_derivative_pairs``).  The pairs
+    depend on ``h`` only and are listed once per state monomial; u, the
+    Euler step of ``_euler_step`` with zero noise, and the weight depend on
+    the width, and each width substitutes u into a monomial once.
+    """
+    g = _second_order_table(h)
     symbols = [gen(v) for v in h.variables]
-    sde = sde_spec(h, symbols)
-    drift = [a.body for a in sde.drift]
-    increments = [gen(g) for g in ids]
-    noise = [WienerSpace.noise(increments, [c.body for c in row]) for row in sde.diffusion]
-    half_filled = _half_filled_pairs(ids)
+    drift = [a.body for a in sde_spec(h, symbols).drift]
+    no_noise = [ZERO] * h.n
+    state = multi_index(h.variables)
+    pairs = cache(lambda s: _derivative_pairs(s, h.variables, g))
 
     def step(dt: float) -> _SliceStep:
-        images = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, noise))))
-        density = _slice_density(ids, dt)
-        weight = grassmann_exp(-dt * h.potential)
-        return _SliceStep(images, weight, density, _pairing_filter(images, density, half_filled))
+        u = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, no_noise))))
+        moved = cache(lambda r: _substitute_odd(GrassmannElement({r: 1.0}), u))  # eta_R(u) by R
+
+        @cache
+        def image(s: MultiIndex) -> GrassmannElement:
+            out = ZERO
+            for size, g_p, r in pairs(s):
+                out = out + ((-dt) ** size * g_p * moved(r) if size else moved(r))
+            return out
+
+        return _SliceStep(grassmann_exp(-dt * h.potential), state, image)
 
     return step
 
 
-def _pairing_filter(
-    images: Mapping[MultiIndex, GrassmannElement], density: SliceDensity, half_filled: dict[MultiIndex, int]
-) -> PairingFilter:
-    """The pairing filter of one slice for ``_substitute_odd`` (see ``fk_evolve``).
+def _derivative_pairs(
+    s: MultiIndex, variables: Sequence[GeneratorId], g: Sequence[Sequence[GrassmannElement]]
+) -> list[tuple[int, GrassmannElement, MultiIndex]]:
+    """(|P|, sigma g_P, R) for every set P of disjoint index pairs k < j with
+    D_P eta_S = sigma eta_R, where D_P is the product of their d_j d_k and
+    g_P that of their g^{kj}, both nonzero; the empty set first.  Each set is
+    listed once, its pairs by increasing k."""
+    out = []
 
-    ``half_filled`` maps each pattern of the slice's bits to its number of
-    half-filled pairs (``_half_filled_pairs``).
-    For an image's bit and the count of mapped generators still to come,
-    the filter gives a partner lookup: to each left key, the image's terms,
-    in order, that share no slice bit with it and leave no more half-filled
-    pairs than that count.  It gives None, no filter, when no pattern has
-    more half-filled pairs than the count.  Lookups and their partner
-    tuples, one per left slice-bit pattern, are built on first use and die
-    with the filter.
-    """
-    terms = {bit: tuple(image.items()) for bit, image in images.items()}
-    most = max(half_filled.values())
-    lookups: dict[tuple[MultiIndex, int], Partners] = {}
+    def walk(size: int, g_p: GrassmannElement, d_p: GrassmannElement, first: int) -> None:
+        ((r, sign),) = d_p.items()
+        out.append((size, sign * g_p, r))
+        for k in range(first, len(variables)):
+            dk = derivative_element(d_p, variables[k])
+            if dk.is_zero():
+                continue
+            for j in range(k + 1, len(variables)):
+                g_kj = g_p * g[k][j]
+                ddf = derivative_element(dk, variables[j])
+                if not (g_kj.is_zero() or ddf.is_zero()):
+                    walk(size + 1, g_kj, ddf, k + 1)
 
-    def pairable(bit: MultiIndex, remaining: int) -> Partners | None:
-        if remaining >= most:
-            return None  # nothing to skip
-        lookup = lookups.get((bit, remaining))
-        if lookup is None:
-            lookup = lookups[bit, remaining] = _partners(terms[bit], remaining, density.bits, half_filled)
-        return lookup
-
-    return pairable
-
-
-def _partners(
-    terms: tuple[tuple[MultiIndex, complex], ...], remaining: int, block: MultiIndex, half_filled: dict[MultiIndex, int]
-) -> Partners:
-    """The partner lookup of one image and count for ``_pairing_filter``."""
-    by_bits: dict[MultiIndex, tuple[tuple[MultiIndex, complex], ...]] = {}
-
-    def lookup(ka: MultiIndex) -> tuple[tuple[MultiIndex, complex], ...]:
-        bits = ka & block
-        partners = by_bits.get(bits)
-        if partners is None:
-            kept = [term for term in terms if not term[0] & bits and half_filled[bits | term[0] & block] <= remaining]
-            partners = by_bits[bits] = tuple(kept)
-        return partners
-
-    return lookup
+    walk(0, ONE, GrassmannElement({s: 1.0}), 0)
+    return out
 
 
 def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:

@@ -11,8 +11,9 @@ left-endpoint scheme is explicit, so node r follows from node r-1 and the
 sweep is the unique grid solution.  ``picard_solve`` iterates the same
 step map and stays for the checks that are about the iteration itself
 (uniqueness from two seeds, moment-gap diagnostics, stationarity).  The
-step itself, ``_euler_step``, is also the slice map of
-``feynman_kac.fk_evolve``.
+step itself, ``_euler_step``, also gives ``feynman_kac.fk_evolve`` the
+noiseless part u = x + dt A(x) of its slice map, whose Gaussian noise it
+integrates out in closed form.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ of the Gaussian Berezin integral: a term survives only when its slice
 generators are whole component pairs, and it picks up the density
 coefficient of the complementary pairs.  One value holds that rule for a
 slice, ``SliceDensity``: the slice's bits and its pairing table, read off
-``heat_kernel``.  ``_integrate_slice``, ``BrownianMotion`` and the pairing
-filter of ``feynman_kac.fk_evolve`` all read it, and they build slice masks
-from generator ids only, so no bit position is assumed outside ``algebra``.
+``heat_kernel``.  ``BrownianMotion`` and ``_integrate_slice``, the one-slice
+oracle that tests call, read it, and they build slice masks from
+generator ids only, so no bit position is assumed outside ``algebra``.
 The increments of distinct slices
 are independent, so the default engine takes an expectation in one pass
 over the functional's terms: each term walks only the slices its key
@@ -239,17 +239,12 @@ def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
     return SliceDensity(bits, {bits ^ mi: c for mi, c in heat_kernel(ids, t).body.items()})
 
 
-def _half_filled_pairs(ids: Sequence[GeneratorId]) -> dict[MultiIndex, int]:
-    """Every pattern of a slice's bits -> the number of component pairs
-    (2k-1, 2k) it holds one generator of; ``ids`` as ``_slice_bits`` takes them."""
-    _slice_bits(ids)
-    pairs = [multi_index(ids[k : k + 2]) for k in range(0, len(ids), 2)]
-    patterns = (multi_index(subset) for size in range(len(ids) + 1) for subset in combinations(ids, size))
-    return {p: sum(p & pair not in (0, pair) for pair in pairs) for p in patterns}
-
-
 def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannElement:
     """Berezin integral of (slice density) * a over the slice, by the pairing rule.
+
+    Tests call it as the oracle of one slice: of ``BrownianMotion``'s walk,
+    and, after substituting the Euler step with live increments, of
+    ``feynman_kac.fk_evolve``'s closed-form slice step.
 
     Equal, coefficient for coefficient and in term order, to
     ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``.  A density term

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,17 @@ from berezin.algebra import (
     ONE,
     PRUNE,
     ZERO,
-    Family,
     GrassmannElement,
-    _substitute_odd,
     aux,
     eta,
     gen,
+    grassmann_exp,
     increment,
     index_generators,
     monomial,
     multi_index,
     scalar,
+    substitute,
 )
 from berezin.calculus import SupersmoothFunction, apply_kernel, grassmann_delta
 from berezin.feynman_kac import (
@@ -39,10 +41,9 @@ from berezin.feynman_kac import (
     sde_spec,
     semigroup_oracle,
     state_variables,
-    _slice_steps,
 )
 from berezin.verify import ratio_deviation
-from berezin.wiener import Partition, _integrate_slice, heat_kernel_difference
+from berezin.wiener import Partition, WienerSpace, _integrate_slice, _slice_density, heat_kernel_difference
 
 SV = state_variables(2)
 KV = kernel_variables(2)
@@ -69,6 +70,12 @@ def test_spec_parity_validation():
         HamiltonianSpec(2, 2, ZERO, (ZERO, ZERO), ((X1, ZERO), (ZERO, X1)), SV)  # odd diffusion
     with pytest.raises(ValueError):
         HamiltonianSpec(2, 3, ZERO, (ZERO, ZERO), ((ZERO,) * 3, (ZERO,) * 3), SV)  # odd m
+
+
+@pytest.mark.parametrize("m", [10, 0])
+def test_spec_rejects_a_brownian_dimension_outside_2_to_8(m):
+    with pytest.raises(ValueError, match="the Brownian dimension m must be an even integer from 2 to 8"):
+        HamiltonianSpec(2, m, ZERO, (ZERO, ZERO), ((ZERO,) * m, (ZERO,) * m), SV)
 
 
 def test_flat_operator_action_on_the_basis():
@@ -236,8 +243,9 @@ def test_bruteforce_agrees_with_the_transfer_engine_on_repeating_widths():
 
 @pytest.mark.parametrize("slice_index", [1, 2])
 def test_fk_routes_reject_an_input_with_increment_generators(slice_index):
-    # Slice 1 is fk_evolve's scratch slice, slice 2 the bruteforce path's
-    # second increment: each route would give its own plausible number.
+    # fk_bruteforce would integrate slice r out as the path's r-th increment,
+    # fk_evolve carry it as a parameter: each route would give its own
+    # plausible number.
     f = TOP + gen(increment(slice_index, 1)) * gen(increment(slice_index, 2))
     h, partition = example_hamiltonian("ou"), Partition((0.0, 0.2, 1.0))
     for route in (fk_evolve, fk_bruteforce):
@@ -271,6 +279,47 @@ def test_inputs_with_parameters_match_the_forward_route(name):
     for partition in (Partition.uniform(1.0, 2), Partition.uniform(1.0, 4), Partition((0.0, 0.15, 0.45, 1.0))):
         gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
         assert gap <= 1e-12, (name, partition)
+
+
+def _wide_hamiltonian(n, m, seed):
+    """A Hamiltonian on n state variables with m-component noise: every
+    diffusion field has a nonzero constant and the first also pair terms,
+    so every g^{kj} is nonzero and g^{1j} depends on the state.  The other
+    fields stay constant and the potential has one pair term, which keeps
+    the forward route small."""
+    rng = random.Random(seed)
+    xs = [gen(v) for v in state_variables(n)]
+    pairs = [xs[k] * xs[j] for k in range(n) for j in range(k + 1, n)]
+
+    def even(scale, terms=pairs):
+        return sum((rng.uniform(-scale, scale) * p for p in terms), start=scalar(rng.uniform(-1.0, 1.0)))
+
+    drift = tuple(sum((rng.uniform(-0.5, 0.5) * x for x in xs), start=ZERO) for _ in range(n))
+    diffusion = tuple(tuple(even(0.3 if a == j == 0 else 0.0) for a in range(m)) for j in range(n))
+    return HamiltonianSpec(n, m, even(0.4, pairs[:1]), drift, diffusion, state_variables(n))
+
+
+@pytest.mark.parametrize("m", [6, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_wide_noise_matches_the_forward_route(n, m):
+    h = _wide_hamiltonian(n, m, seed=10 * n + m)
+    f = sum(((1 + 0.5j) ** k * b for k, b in enumerate(basis_elements(h.variables))), start=ZERO)
+    for partition in (Partition.uniform(1.0, 2), Partition((0.0, 0.35, 1.0))):
+        gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
+        assert gap <= 1e-12 * max(1.0, f.norm()), partition
+
+
+def test_a_parameter_before_the_state_variables_keeps_its_sign():
+    # The state variables are set 1, so the set-0 parameter η[1] precedes
+    # them: the slice step splits η[1]·y1 as -y1·η[1] before it maps y1.
+    y1, y2 = gen(KV[0]), gen(KV[1])
+    identity = ((scalar(1.0), ZERO), (ZERO, scalar(1.0)))
+    h = HamiltonianSpec(2, 2, 0.3 - y1 * y2, (-0.8j * y1, -0.4j * y2), identity, KV)
+    f = X1 * y1 + X1 * y1 * y2 + 0.5 * y2 + X1
+    for partition in (Partition.uniform(1.0, 2), Partition((0.0, 0.15, 0.45, 1.0))):
+        got = fk_evolve(h, f, partition)
+        assert abs(got.coefficient((SV[0], KV[0]))) > 0.1
+        assert (got - fk_bruteforce(h, f, partition)).norm() <= 1e-12
 
 
 def _random_element(rng, pool, parity, scale):
@@ -312,22 +361,39 @@ def fk_slices(draw):
     return h, f, dt
 
 
-def _whole_pairs(key):
-    """Whether a key's increment generators form whole component pairs."""
-    components = {g.component for g in index_generators(key) if g.family == Family.INCREMENT}
-    return all((c + 1 if c % 2 else c - 1) in components for c in components)
+def _increment_route(h, f, dt):
+    """One Euler slice with its increments kept live on slice 1 and then
+    integrated out by the pairing rule, left-endpoint weight included."""
+    ids = WienerSpace(h.m).increment_ids(1)
+    increments = [gen(g) for g in ids]
+    moved = {
+        x: gen(x) + dt * (-1j * a) + WienerSpace.noise(increments, row)
+        for x, a, row in zip(h.variables, h.drift_fields, h.diffusion_fields)
+    }
+    weight = grassmann_exp(-dt * h.potential)
+    return _integrate_slice(weight * substitute(f, moved), _slice_density(ids, dt))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(fk_slices())
-def test_the_pairing_filter_keeps_the_slice_step_bit_for_bit(case):
+def test_the_closed_form_step_is_the_increment_route(case):
     h, f, dt = case
-    step = _slice_steps(h)(dt)
-    want = _integrate_slice(step.weight * _substitute_odd(f, step.images), step.density)
-    assert repr(list(step(f).items())) == repr(list(want.items()))  # signs of zero too
-    # The filtered substitution builds exactly the terms the integral keeps.
-    kept = [(k, c) for k, c in _substitute_odd(f, step.images).items() if _whole_pairs(k)]
-    assert repr(list(_substitute_odd(f, step.images, step.pairable).items())) == repr(kept)
+    got = dict(fk_evolve(h, f, Partition((0.0, dt))).items())
+    want = dict(_increment_route(h, f, dt).items())
+    tol = 1e-12 * max(1.0, sum(map(abs, want.values())))
+    for key in got.keys() | want.keys():
+        assert abs(got.get(key, 0j) - want.get(key, 0j)) <= tol, index_generators(key)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_two_pair_terms_match_the_increment_route(m):
+    # On four state variables the top monomial's image has terms in dt^2
+    # from two disjoint pairs; at m = 2 their sum, a Pfaffian of g, vanishes.
+    h = _wide_hamiltonian(4, m, seed=40 + m)
+    f = sum(((1 + 0.5j) ** k * b for k, b in enumerate(basis_elements(h.variables))), start=ZERO)
+    got = fk_evolve(h, f, Partition((0.0, 0.6)))
+    gap = (got - _increment_route(h, f, 0.6)).norm()
+    assert gap <= 1e-12 * max(1.0, got.norm())
 
 
 def test_bruteforce_flat_with_several_slices_is_still_exact():

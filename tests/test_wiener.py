@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from berezin.wiener import (
     heat_kernel,
     heat_kernel_difference,
     mu_distance,
-    _half_filled_pairs,
     _integrate_slice,
     _slice_density,
 )
@@ -261,26 +260,11 @@ def test_slice_density_is_the_heat_kernel_by_complement(m, r):
         assert list(density.table.items()) == [(density.bits ^ mi, c) for mi, c in body.items()]
 
 
-@pytest.mark.parametrize("m", [2, 4, 6, 8])
-@pytest.mark.parametrize("r", [1, 70])
-def test_half_filled_pairs_counts_each_pattern_by_generator_ids(m, r):
-    ids = WienerSpace(m).increment_ids(r)
-    counts = _half_filled_pairs(ids)
-    assert len(counts) == 2**m
-    for size in range(m + 1):
-        for subset in combinations(ids, size):
-            components = {g.component for g in subset}
-            want = sum((k in components) != (k + 1 in components) for k in range(1, m, 2))
-            assert counts[multi_index(subset)] == want
-
-
 def test_slice_density_needs_one_whole_block_in_order():
     ids = WienerSpace(4).increment_ids(1)
     for bad in (ids[:3], ids[::-1], ids[:2] + WienerSpace(2).increment_ids(2)):
         with pytest.raises(ValueError):
             _slice_density(bad, 1.0)
-        with pytest.raises(ValueError):
-            _half_filled_pairs(bad)
 
 
 @st.composite
