@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -326,56 +326,28 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     E[f(u + xi)] = sum_k ((-dt)^k / k!) (G^k f)(u), with G = (1/2) g^{kj} d_j d_k
     the second-order part of H, its coefficients frozen at x; so no
     increment generator is ever built and the cost is linear in the slice
-    count.  Each distinct width builds its step once per call, and each
-    state monomial's image on first use (``_slice_steps``).  Exact when
-    drift and potential vanish; first-order accurate in the mesh
-    otherwise.  ``f`` must not hold increment generators.
+    count.  The slices run through ``h``'s one evolution (``_evolution``),
+    which builds each distinct width's images once.  Exact when drift and
+    potential vanish; first-order accurate in the mesh otherwise.  ``f``
+    must not hold increment generators.
     """
     _reject_increments("fk_evolve's input", f)
-    step_of = _slice_steps(h)
-    by_width: dict[float, _SliceStep] = {}
-    current = f
-    for r in range(partition.steps, 0, -1):
-        dt = partition.delta(r)
-        step = by_width.get(dt)
-        if step is None:
-            step = by_width[dt] = step_of(dt)
-        current = step(current)
-    return current
+    return _evolution(h)(f, partition)
 
 
-class _SliceStep(NamedTuple):
-    """One slice width's step of ``fk_evolve``: the weight exp(-dt v), the
-    bits of the state variables, and the image of a state monomial by its bits."""
+def _evolution(h: HamiltonianSpec) -> Callable[[GrassmannElement, Partition], GrassmannElement]:
+    """``fk_evolve`` of ``h`` as a function of the input and the partition.
 
-    weight: GrassmannElement
-    state: MultiIndex
-    image: Callable[[MultiIndex], GrassmannElement]
-
-    def __call__(self, f: GrassmannElement) -> GrassmannElement:
-        """weight * sum of c sigma image(S) theta_T over the terms c X of ``f``,
-        where X = sigma eta_S theta_T splits off the parameters theta_T."""
-        by_rest: dict[MultiIndex, dict[MultiIndex, complex]] = {}
-        for s, t, c in _split_terms(f, self.state):
-            acc = by_rest.setdefault(t, {})
-            for key, value in self.image(s).items():
-                acc[key] = acc.get(key, 0j) + c * value
-        total = ZERO
-        for t, acc in by_rest.items():
-            part = GrassmannElement(acc)
-            total = total + (part * GrassmannElement({t: 1.0}) if t else part)
-        return self.weight * total
-
-
-def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
-    """``fk_evolve``'s slice steps of ``h``: a function from a slice width to its step.
-
-    The image of a state monomial eta_S is sum_P (-dt)^|P| g_P (D_P eta_S)(u)
-    over the sets P of disjoint index pairs k < j, with g_P the product of
-    their g^{kj} and D_P their d_j d_k (``_derivative_pairs``).  The pairs
-    depend on ``h`` only and are listed once per state monomial; u, the
-    Euler step of ``_euler_step`` with zero noise, and the weight depend on
-    the width, and each width substitutes u into a monomial once.
+    A slice of width dt maps c X = c sigma eta_S theta_T, the state monomial
+    eta_S times parameters theta_T (``_split_terms``), to c sigma Phi(eta_S)
+    theta_T, summed and then multiplied by the weight exp(-dt v).  The image
+    Phi(eta_S) is sum_P (-dt)^|P| g_P (D_P eta_S)(u) over the sets P of
+    disjoint index pairs k < j, with g_P the product of their g^{kj} and D_P
+    their d_j d_k (``_derivative_pairs``), and u the Euler step of
+    ``_euler_step`` with zero noise.  g is contracted once and each state
+    monomial's pairs are listed once; u, the weight and each eta_R(u) and
+    Phi(eta_S) are built once per width, on first use, and shared by every
+    input the returned function evolves.
     """
     g = _second_order_table(h)
     symbols = [gen(v) for v in h.variables]
@@ -384,7 +356,9 @@ def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
     state = multi_index(h.variables)
     pairs = cache(lambda s: _derivative_pairs(s, h.variables, g))
 
-    def step(dt: float) -> _SliceStep:
+    @cache
+    def width(dt: float) -> tuple[GrassmannElement, Callable[[MultiIndex], GrassmannElement]]:
+        """The weight exp(-dt v) and the image Phi of a state monomial by its bits."""
         u = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, no_noise))))
         moved = cache(lambda r: _substitute_odd(GrassmannElement({r: 1.0}), u))  # eta_R(u) by R
 
@@ -395,9 +369,25 @@ def _slice_steps(h: HamiltonianSpec) -> Callable[[float], _SliceStep]:
                 out = out + ((-dt) ** size * g_p * moved(r) if size else moved(r))
             return out
 
-        return _SliceStep(grassmann_exp(-dt * h.potential), state, image)
+        return grassmann_exp(-dt * h.potential), image
 
-    return step
+    def evolve(f: GrassmannElement, partition: Partition) -> GrassmannElement:
+        current = f
+        for r in range(partition.steps, 0, -1):
+            weight, image = width(partition.delta(r))
+            by_rest: dict[MultiIndex, dict[MultiIndex, complex]] = {}
+            for s, t, c in _split_terms(current, state):
+                acc = by_rest.setdefault(t, {})
+                for key, value in image(s).items():
+                    acc[key] = acc.get(key, 0j) + c * value
+            total = ZERO
+            for t, acc in by_rest.items():
+                part = GrassmannElement(acc)
+                total = total + (part * GrassmannElement({t: 1.0}) if t else part)
+            current = weight * total
+        return current
+
+    return evolve
 
 
 def _derivative_pairs(
@@ -427,8 +417,11 @@ def _derivative_pairs(
 
 
 def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
-    """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis."""
-    return operator_matrix(lambda f: fk_evolve(h, f, partition), h.variables)
+    """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis:
+    every basis column goes through one ``_evolution`` of ``h``, so the
+    columns share its g table, pair lists and per-width images."""
+    evolve = _evolution(h)
+    return operator_matrix(lambda f: evolve(f, partition), h.variables)
 
 
 def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:

@@ -89,7 +89,6 @@ EXACT = 1e-12
 IDENTITY = 1e-10
 FINITE_DIFFERENCE = 1e-8
 RATIO_SLACK = 0.3  # admissible |error ratio - grid ratio| per refinement
-NOISE_FLOOR = 1e-13  # errors below this count as exact in ratio checks
 
 
 @dataclass(frozen=True)
@@ -122,15 +121,15 @@ def richardson(grids: Sequence[int], values: Sequence, order: int):
 
 def ratio_deviation(errors: Sequence[float], grids: Sequence[float]) -> float:
     """Largest |e_k / e_{k+1} - N_{k+1} / N_k| over successive grids, the
-    deviation from first-order refinement; 0 for exact data."""
+    deviation from first-order refinement; 0 for exact data.  Only an error
+    of 0.0 counts as exact: a route that may carry round-off on an exact
+    result sets it to 0.0 first (``drop_round_off``)."""
     if len(errors) != len(grids):
         raise ValueError("need one error per grid")
-    if all(e <= NOISE_FLOOR for e in errors):
-        return 0.0
     worst = 0.0
     for a, b, n_a, n_b in zip(errors, errors[1:], grids, grids[1:]):
-        if b <= NOISE_FLOOR:
-            worst = max(worst, 0.0 if a <= NOISE_FLOOR else float("inf"))
+        if b == 0.0:
+            worst = max(worst, 0.0 if a == 0.0 else float("inf"))
         else:
             worst = max(worst, abs(a / b - n_b / n_a))
     return worst

@@ -7,10 +7,11 @@ integral.  Each slice is integrated by the closed-form pairing (Wick) rule
 of the Gaussian Berezin integral: a term survives only when its slice
 generators are whole component pairs, and it picks up the density
 coefficient of the complementary pairs.  One value holds that rule for a
-slice, ``SliceDensity``: the slice's bits and its pairing table, read off
-``heat_kernel``.  ``BrownianMotion`` and ``_integrate_slice``, the one-slice
-oracle that tests call, read it, and they build slice masks from
-generator ids only, so no bit position is assumed outside ``algebra``.
+slice, ``SliceDensity``: the slice's bits and its pairing table, built
+from the closed form of ``heat_kernel``'s product over the pairs, with no
+element product and no prune.  ``BrownianMotion`` and ``_integrate_slice``,
+the one-slice oracle that tests call, read it, and they build slice masks
+from generator ids only, so no bit position is assumed outside ``algebra``.
 The increments of distinct slices
 are independent, so the default engine takes an expectation in one pass
 over the functional's terms: each term walks only the slices its key
@@ -232,11 +233,21 @@ def _slice_bits(ids: Sequence[GeneratorId]) -> MultiIndex:
 
 
 def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
-    """The heat-kernel density of one slice on ``ids`` (see ``_slice_bits``).
-    The coefficients are read off ``heat_kernel`` itself, so they keep its
-    rounding and its pruning."""
+    """The heat-kernel density of one slice on ``ids`` (see ``_slice_bits``),
+    from its closed form: the product over component pairs of (t + the
+    pair's monomial) holds the coefficient t^(m/2 - |S|) on each union S of
+    whole pairs, with sign +1.  The table multiplies in one pair at a time,
+    in ``heat_kernel``'s term order and with its scalar products, so every
+    coefficient that ``heat_kernel`` keeps is equal bit for bit; the small
+    powers of t that its element products prune stay in."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     bits = _slice_bits(ids)
-    return SliceDensity(bits, {bits ^ mi: c for mi, c in heat_kernel(ids, t).body.items()})
+    table = {bits: 1 + 0j}
+    for k in range(0, len(ids), 2):
+        pair = multi_index(ids[k : k + 2])
+        table = {key: value for need, c in table.items() for key, value in ((need ^ pair, c), (need, c * t))}
+    return SliceDensity(bits, table)
 
 
 def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannElement:
@@ -246,8 +257,11 @@ def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannEle
     and, after substituting the Euler step with live increments, of
     ``feynman_kac.fk_evolve``'s closed-form slice step.
 
-    Equal, coefficient for coefficient and in term order, to
-    ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``.  A density term
+    Where ``heat_kernel`` prunes no density term, equal, coefficient for
+    coefficient and in term order, to
+    ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``; where it prunes
+    a small power of t, which the table keeps, the products of that term add
+    to the sums.  A density term
     meets only the terms of ``a`` whose slice bits are its complement, with
     sign +1: both are unions of whole pairs, and the m strips are even in
     number.  Every other product term misses a slice variable and

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from berezin.algebra import (
     scalar,
     substitute,
 )
+from berezin import feynman_kac
 from berezin.calculus import SupersmoothFunction, apply_kernel, grassmann_delta
 from berezin.feynman_kac import (
     EXAMPLE_NAMES,
@@ -32,6 +34,7 @@ from berezin.feynman_kac import (
     example_hamiltonian,
     fk_bruteforce,
     fk_evolve,
+    fk_operator,
     hamiltonian_matrix,
     kernel_extract,
     kernel_variables,
@@ -338,25 +341,44 @@ def _random_element(rng, pool, parity, scale):
     return GrassmannElement(terms)
 
 
+def _dense_even(rng, variables):
+    """An even element holding every even monomial of ``variables``."""
+    return GrassmannElement(
+        {
+            multi_index(s): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for k in range(0, len(variables) + 1, 2)
+            for s in combinations(variables, k)
+        }
+    )
+
+
 @st.composite
 def fk_slices(draw):
     """A random even Hamiltonian on up to four state variables with m = 2 or
     4, an input over the state variables, variable-set-1 and auxiliary
-    parameters, and a slice width down to 1e-9, where the density prunes."""
+    parameters, and a slice width down to 1e-9.  Some cases have n = 4,
+    m = 4 or 8, dense diffusion fields and the top state monomial in its
+    input, so that the images hold dt^2 terms of two disjoint pairs (at
+    m = 2 their sum, a Pfaffian of a rank-2 g, vanishes)."""
+    dense = draw(st.sampled_from((False, False, False, True)))
     rng = draw(st.randoms(use_true_random=False))
-    n, m = rng.randint(1, 4), rng.choice((2, 4))
+    n, m = (4, rng.choice((4, 8))) if dense else (rng.randint(1, 4), rng.choice((2, 4)))
     variables = state_variables(n)
     fields = list(variables) + ([aux(3)] if rng.random() < 0.2 else [])  # a parameter in the images
+    plain = random.Random(rng.getrandbits(32))  # the dense fields take one draw
+    diffusion_field = (lambda: _dense_even(plain, variables)) if dense else (lambda: _random_element(rng, fields, 0, 1.0))
     h = HamiltonianSpec(
         n,
         m,
         _random_element(rng, fields, 0, 0.5),
         tuple(_random_element(rng, fields, 1, 0.5) for _ in range(n)),
-        tuple(tuple(_random_element(rng, fields, 0, 1.0) for _ in range(m)) for _ in range(n)),
+        tuple(tuple(diffusion_field() for _ in range(m)) for _ in range(n)),
         variables,
     )
     pool = list(variables) + rng.sample([eta(1, 1), eta(2, 1), aux(1), aux(2), aux(1, 70)], rng.randint(0, 3))
     f = sum((_random_element(rng, pool, rng.randint(0, 1), 1.0) for _ in range(3)), start=ZERO)
+    if dense:
+        f = f + monomial(variables, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
     dt = rng.choice((rng.uniform(0.01, 2.0), 1e-5, 1e-9))
     return h, f, dt
 
@@ -394,6 +416,23 @@ def test_two_pair_terms_match_the_increment_route(m):
     got = fk_evolve(h, f, Partition((0.0, 0.6)))
     gap = (got - _increment_route(h, f, 0.6)).norm()
     assert gap <= 1e-12 * max(1.0, got.norm())
+
+
+@pytest.mark.parametrize("partition", [Partition.uniform(1.0, 16), Partition((0.0, 0.25, 0.5, 0.6, 1.0))])
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("random",))
+def test_operator_columns_are_the_evolved_basis_monomials(name, partition):
+    h = _wide_hamiltonian(4, 4, seed=44) if name == "random" else example_hamiltonian(name, lam=0.7)
+    op = fk_operator(h, partition)
+    for col, f in enumerate(basis_elements(h.variables)):
+        assert (op.matrix[:, col] == element_coordinates(fk_evolve(h, f, partition), h.variables)).all(), col
+
+
+def test_operator_contracts_the_second_order_coefficients_once(monkeypatch):
+    calls = []
+    contract = feynman_kac._second_order_table
+    monkeypatch.setattr(feynman_kac, "_second_order_table", lambda h: calls.append(h) or contract(h))
+    fk_operator(_wide_hamiltonian(4, 4, seed=44), Partition((0.0, 0.25, 0.5, 0.6, 1.0)))
+    assert len(calls) == 1
 
 
 def test_bruteforce_flat_with_several_slices_is_still_exact():

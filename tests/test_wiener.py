@@ -253,11 +253,13 @@ def test_pairing_rule_is_the_slice_product_and_strip_bit_for_bit(case):
 @pytest.mark.parametrize("r", [1, 70])  # slice 70 lies past bit 1024
 def test_slice_density_is_the_heat_kernel_by_complement(m, r):
     ids = WienerSpace(m).increment_ids(r)
-    for t in (0.7, 1e-4):  # at 1e-4, m = 8 prunes t**4
+    for t in (0.7, 1e-4):
         density = _slice_density(ids, t)
         assert density.bits == multi_index(ids)
-        body = heat_kernel(ids, t).body
-        assert list(density.table.items()) == [(density.bits ^ mi, c) for mi, c in body.items()]
+        want = [(density.bits ^ mi, c) for mi, c in heat_kernel(ids, t).body.items()]
+        if m == 8 and t == 1e-4:  # heat_kernel prunes t**4 = 1e-16; the table keeps it, last
+            want.append((density.bits, 1e-16 + 0j))
+        assert list(density.table.items()) == want
 
 
 def test_slice_density_needs_one_whole_block_in_order():
@@ -265,6 +267,18 @@ def test_slice_density_needs_one_whole_block_in_order():
     for bad in (ids[:3], ids[::-1], ids[:2] + WienerSpace(2).increment_ids(2)):
         with pytest.raises(ValueError):
             _slice_density(bad, 1.0)
+    with pytest.raises(ValueError):
+        _slice_density(ids, -1e-3)
+
+
+def test_a_slice_density_term_below_the_prune_threshold_still_counts():
+    # The t**4 = 1e-16 density term lies below algebra.PRUNE, but the
+    # expectation 1e3 * t**4 does not.
+    space = WienerSpace(8)
+    top = 1e3 * ONE
+    for b in space.increment_elements(1):
+        top = top * b
+    assert BrownianMotion(space, Partition.uniform(1e-4, 1)).expect(top) == 1e-13
 
 
 @st.composite
