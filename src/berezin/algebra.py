@@ -5,18 +5,17 @@ anticommuting generators (g * g' = -g' * g, g * g = 0).  Generators are
 identified by (family, slice, component) triples so that higher layers can
 allocate fresh blocks on demand: one block per time slice, per variable
 set, and so on.  The canonical generator order is lexicographic on those
-triples; every sign in the package follows from it.
+triples: variables, then auxiliaries, then increments.  Every sign in the
+package follows from it.
 
 Each monomial is stored as one Python int with one bit per generator, so
 a product of two monomials is a collision test (``a & b``), a merge
-(``a | b``) and a popcount inversion count for the permutation sign.  The
-low 32 bits hold the variable sets 0..3; above them come one byte per
-block, slice by slice: increment slice s is block 2s and auxiliary set s is
-block 2s + 1.  A block holds at most ``COMPONENT_CAP`` = 8 components, and
-there are ``VARIABLE_SETS`` = 4 variable sets; a generator outside these
-caps is rejected with a ValueError.  Bit order agrees with the canonical
-order except on increment/auxiliary pairs, whose signs are corrected only
-when an auxiliary generator occurs.
+(``a | b``) and a popcount inversion count for the permutation sign.  Each
+block takes one byte: bits 0..31 hold the ``VARIABLE_SETS`` = 4 variable
+sets, bits 32..159 the ``AUXILIARY_SETS`` = 16 auxiliary sets, and
+increment slice s takes bits 160 + 8s onwards.  A block holds at most
+``COMPONENT_CAP`` = 8 components; a generator outside these caps is
+rejected with a ValueError.  Bit order is canonical order for every key.
 """
 
 from __future__ import annotations
@@ -55,11 +54,12 @@ Scalar = Union[int, float, complex]
 
 
 class Family(IntEnum):
-    """Generator families; the order fixes the canonical generator order."""
+    """Generator families; the order fixes the canonical generator order and
+    the bit layout: variables, then auxiliaries, then increments."""
 
     VARIABLE = 0
-    INCREMENT = 1
-    AUXILIARY = 2
+    AUXILIARY = 1
+    INCREMENT = 2
 
 
 class GeneratorId(NamedTuple):
@@ -108,7 +108,8 @@ EMPTY_INDEX: MultiIndex = 0
 
 COMPONENT_CAP = 8  # components per block: one byte of the multi-index
 VARIABLE_SETS = 4  # variable sets, which fill the low bytes
-_VARIABLE_BITS = VARIABLE_SETS * COMPONENT_CAP
+AUXILIARY_SETS = 16  # auxiliary sets, in the bytes after the variable sets
+_FIXED_SETS = VARIABLE_SETS + AUXILIARY_SETS  # the bytes below increment slice 0
 
 # Coefficients below this magnitude are dropped after every operation,
 # which keeps long operator products sparse.
@@ -119,13 +120,15 @@ def _block_shift(family: int, slice_index: int) -> int:
     """Position of the first bit of a block."""
     if slice_index < 0:
         raise ValueError(f"slice must be >= 0, got {slice_index}")
+    if family == Family.INCREMENT:
+        return COMPONENT_CAP * (_FIXED_SETS + slice_index)
     if family == Family.VARIABLE:
-        if slice_index >= VARIABLE_SETS:
-            raise ValueError(
-                f"variable set {slice_index} is outside 0..{VARIABLE_SETS - 1}: sets are capped at {VARIABLE_SETS}"
-            )
-        return COMPONENT_CAP * slice_index
-    return _VARIABLE_BITS + COMPONENT_CAP * (2 * slice_index + (family == Family.AUXILIARY))
+        name, first, sets = "variable", 0, VARIABLE_SETS
+    else:
+        name, first, sets = "auxiliary", VARIABLE_SETS, AUXILIARY_SETS
+    if slice_index >= sets:
+        raise ValueError(f"{name} set {slice_index} is outside 0..{sets - 1}: sets are capped at {sets}")
+    return COMPONENT_CAP * (first + slice_index)
 
 
 def _bit_of(g: GeneratorId) -> int:
@@ -148,13 +151,12 @@ def multi_index(generators: Iterable[GeneratorId]) -> MultiIndex:
 
 def _block_masks(mi: MultiIndex) -> tuple[tuple[Block, int], ...]:
     """The nonzero ((family, slice), component mask) blocks of a multi-index,
-    in canonical block order: variable sets, increment slices, auxiliary sets."""
+    in canonical block order, which is byte order: variable sets, auxiliary
+    sets, increment slices."""
     raw = mi.to_bytes((mi.bit_length() + 7) // 8, "little")
     out = [((Family.VARIABLE, s), mask) for s, mask in enumerate(raw[:VARIABLE_SETS]) if mask]
-    if len(raw) > VARIABLE_SETS:
-        high = raw[VARIABLE_SETS:]
-        out += [((Family.INCREMENT, s), mask) for s, mask in enumerate(high[0::2]) if mask]
-        out += [((Family.AUXILIARY, s), mask) for s, mask in enumerate(high[1::2]) if mask]
+    out += [((Family.AUXILIARY, s), mask) for s, mask in enumerate(raw[VARIABLE_SETS:_FIXED_SETS]) if mask]
+    out += [((Family.INCREMENT, s), mask) for s, mask in enumerate(raw[_FIXED_SETS:]) if mask]
     return tuple(out)
 
 
@@ -185,21 +187,8 @@ def _above(mi: MultiIndex) -> int:
     return acc
 
 
-def _sign_key(mi: MultiIndex, aux: int, lift: int) -> MultiIndex:
-    """``mi`` with its auxiliary bits (``aux`` marks them) moved ``lift`` bits
-    up, above every increment bit, so that bit order is canonical order."""
-    bits = mi & aux
-    return mi ^ bits | bits << lift
-
-
-def _from_sign_key(key: MultiIndex, lift: int) -> MultiIndex:
-    """The inverse of ``_sign_key``."""
-    bits = key >> lift
-    return key ^ bits << lift | bits
-
-
 def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
-    """The terms of a product whose keys are in canonical bit order.
+    """The terms of the product of two elements' term maps.
 
     A pair of disjoint keys merges to ``ka | kb``; its permutation sign is
     the parity of the inversions, one popcount of the left term's
@@ -215,22 +204,6 @@ def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) 
                 mi = ka | kb
                 data[mi] = data.get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
     return data
-
-
-def _aux_mask(sets: int) -> int:
-    """The bits of auxiliary sets 0..sets-1."""
-    return int.from_bytes(bytes(VARIABLE_SETS) + b"\x00\xff" * sets, "little")
-
-
-# The auxiliary bits of sets 0..1023, which cover every union up to slice 1023.
-_AUX_BITS = _aux_mask(1024)
-
-
-def _sign_frame(union: MultiIndex) -> tuple[int, int]:
-    """The (aux, lift) arguments of ``_sign_key`` for keys within ``union``;
-    (0, 0), which leaves keys as they are, when no auxiliary bit occurs."""
-    aux = union & (_AUX_BITS if union <= _AUX_BITS else _aux_mask(union.bit_length() // (2 * COMPONENT_CAP)))
-    return (aux, union.bit_length()) if aux else (0, 0)
 
 
 class GrassmannElement:
@@ -368,16 +341,7 @@ class GrassmannElement:
             return GrassmannElement({mi: c * other for mi, c in self._terms.items()})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        left, right = self._terms, other._terms
-        aux, lift = _sign_frame(self._union() | other._union())
-        if not aux:
-            return GrassmannElement._adopt(_product(left, right))
-        # Multiply the sign keys, whose bit order is canonical, and map back.
-        product = _product(
-            {_sign_key(mi, aux, lift): c for mi, c in left.items()},
-            {_sign_key(mi, aux, lift): c for mi, c in right.items()},
-        )
-        return GrassmannElement._adopt({_from_sign_key(mi, lift): c for mi, c in product.items()})
+        return GrassmannElement._adopt(_product(self._terms, other._terms))
 
     __rmul__ = __mul__  # only scalars reach it, and scalar products commute
 
@@ -566,20 +530,16 @@ def _split_terms(a: GrassmannElement, bits: MultiIndex) -> Iterator[tuple[MultiI
     """Each term c X of ``a`` as (S, T, sigma c): S = X & ``bits``, T the rest
     of X, and sigma the sign of the product S T = sigma X in canonical order,
     -1 when an odd number of (T, S) generator pairs have the one of T first."""
-    aux, lift = _sign_frame(a._union() | bits)
     for mi, c in a.items():
         s = mi & bits
         t = mi ^ s
-        if t and (_above(_sign_key(s, aux, lift)) & _sign_key(t, aux, lift)).bit_count() & 1:
+        if t and (_above(s) & t).bit_count() & 1:
             c = -c
         yield s, t, c
 
 
 def _canonical_bits(mi: MultiIndex) -> list[MultiIndex]:
-    """The one-bit multi-indices of ``mi`` in canonical generator order; for a
-    key of variables only that is bit order, read without building ids."""
-    if mi >> _VARIABLE_BITS:
-        return [_bit_of(g) for g in index_generators(mi)]
+    """The one-bit multi-indices of ``mi`` in canonical generator order, which is bit order."""
     bits = []
     while mi:
         low = mi & -mi
@@ -592,13 +552,12 @@ def _strip_generator(a: GrassmannElement, g: GeneratorId, from_left: bool) -> Gr
     """Remove g from every monomial holding it, with the sign of moving it to
     the left end (counting generators below g) or to the right end (above)."""
     bit = _bit_of(g)
-    aux, lift = _sign_frame(a._union() | bit)
-    below = _sign_key(bit, aux, lift) - 1  # the sign-key bits canonically below g
+    below = bit - 1  # the bits of the generators below g
     data: dict[MultiIndex, complex] = {}
     for mi, coeff in a.items():
         if not mi & bit:
             continue
-        count = (_sign_key(mi, aux, lift) & below).bit_count()
+        count = (mi & below).bit_count()
         if not from_left:
             count = mi.bit_count() - count - 1
         reduced = mi ^ bit
@@ -616,7 +575,7 @@ def _generator_code(g: GeneratorId) -> str:
     return f"{_FAMILY_CODE[Family(g.family)]}{g.slice}.{g.component}"
 
 
-_CODE = re.compile(r"([via])([0-9]+)\.([0-9]+)")
+_CODE = re.compile(r"([via])(0|[1-9][0-9]*)\.(0|[1-9][0-9]*)")
 
 
 def _generator_from_code(code: str) -> GeneratorId:

@@ -125,6 +125,8 @@ class HamiltonianSpec:
         WienerSpace(self.m)  # rejects m outside the even integers 2..8
         if len(self.variables) != self.n:
             raise ValueError("need one state variable per dimension")
+        if len(set(self.variables)) != self.n:
+            raise ValueError("state variables must be distinct")
         if len(self.drift_fields) != self.n or len(self.diffusion_fields) != self.n:
             raise ValueError("drift and diffusion must have n components")
         if any(len(row) != self.m for row in self.diffusion_fields):

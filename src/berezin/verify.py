@@ -303,7 +303,7 @@ def wiener_suite(seed: int = 2024) -> list[Check]:
         times = sorted(rng.uniform(0.05, 1.0) for _ in range(count))
         while any(b - a < 1e-3 for a, b in zip(times, times[1:])):
             times = sorted(rng.uniform(0.05, 1.0) for _ in range(count))
-        sets = [tuple(aux(c, 20 + trial * 8 + i) for c in (1, 2)) for i in range(count)]
+        sets = [tuple(aux(c, 10 + i) for c in (1, 2)) for i in range(count)]
         joint = finite_distribution(space, times, sets)
         marginal = finite_distribution(space, times[:-1], sets[:-1])
         consistency = max(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezin.algebra import (
+    AUXILIARY_SETS,
     COMPONENT_CAP,
     VARIABLE_SETS,
     Family,
@@ -28,7 +29,6 @@ from berezin.algebra import (
     scalar,
     substitute,
 )
-from berezin.algebra import _sign_frame
 from berezin.verify import random_element
 
 E1, E2, E3, E4 = (gen(eta(i)) for i in range(1, 5))
@@ -37,7 +37,7 @@ E1, E2, E3, E4 = (gen(eta(i)) for i in range(1, 5))
 def test_generator_order_is_lexicographic():
     ids = [aux(1), increment(2, 1), eta(1), increment(1, 3), eta(2, 1)]
     ordered = sorted(ids)
-    assert ordered == [eta(1), eta(2, 1), increment(1, 3), increment(2, 1), aux(1)]
+    assert ordered == [eta(1), eta(2, 1), aux(1), increment(1, 3), increment(2, 1)]
 
 
 def test_product_of_distinct_generators_is_canonical():
@@ -291,17 +291,26 @@ def test_generators_beyond_the_block_caps_are_rejected():
         gen(eta(1, 4))
     with pytest.raises(ValueError, match="capped at 4"):
         monomial((eta(1), eta(2, 7)))
+    assert gen(aux(COMPONENT_CAP, AUXILIARY_SETS - 1)).generators() == (aux(8, 15),)
+    with pytest.raises(ValueError, match="capped at 16"):
+        gen(aux(1, 16))
+    with pytest.raises(ValueError, match="capped at 16"):
+        monomial((eta(1), aux(1, 16)))
 
 
 def test_serialized_keys_out_of_canonical_order_are_refused():
     # η[2]·η[1] is -η[1]η[2]: reading the key as sorted would flip the sign.
     with pytest.raises(ValueError, match="'v0.2 v0.1'.*canonical order"):
         element_from_json({"v0.2 v0.1": [1, 0]})
-    with pytest.raises(ValueError, match="'a0.1 i3.1'"):
-        element_from_json({"1": [1.0, 0.0], "a0.1 i3.1": [1.0, 0.0]})
+    # Auxiliaries come before increments.
+    with pytest.raises(ValueError, match="'i3.1 a0.1'.*canonical order"):
+        element_from_json({"1": [1.0, 0.0], "i3.1 a0.1": [1.0, 0.0]})
+    assert element_from_json({"a0.1 i3.1": [1.0, 0.0]}) == monomial((aux(1), increment(3, 1)))
 
 
-@pytest.mark.parametrize("key", ["x0.1", "v0.1 x1.2", "v0", "v0.1.2", "v-1.1", "i2 .1", "", "v0.1  v0.2"])
+@pytest.mark.parametrize(
+    "key", ["x0.1", "v0.1 x1.2", "v0", "v0.1.2", "v-1.1", "i2 .1", "", "v0.1  v0.2", "v00.1", "v0.01"]
+)
 def test_serialized_keys_with_malformed_codes_are_refused(key):
     with pytest.raises(ValueError, match=f"serialized key {key!r}"):
         element_from_json({key: [1.0, 0.0]})
@@ -313,43 +322,37 @@ def test_serialized_values_that_are_not_pairs_are_refused(value):
         element_from_json({"v0.1": value})
 
 
-def test_sign_frame_lifts_only_the_auxiliary_bits_of_the_union():
-    wide = multi_index([eta(1), increment(1101, 1), aux(1, 3), aux(2, 1100)])  # past the 1024 sets of _AUX_BITS
-    assert _sign_frame(wide) == (multi_index([aux(1, 3), aux(2, 1100)]), wide.bit_length())
-    assert _sign_frame(multi_index([eta(1), increment(1101, 1)])) == (0, 0)
-    narrow = multi_index([increment(2, 1), aux(1, 0)])
-    assert _sign_frame(narrow) == (multi_index([aux(1, 0)]), narrow.bit_length())
-
-
 def test_serialized_elements_beyond_the_block_caps_are_refused():
     with pytest.raises(ValueError, match="capped at 8"):
         element_from_json({"v0.1 i2.9": [1.0, 0.0]})
     with pytest.raises(ValueError, match="capped at 4"):
         element_from_json({"1": [0.5, 0.0], "v5.1": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="capped at 16"):
+        element_from_json({"a16.1": [1.0, 0.0]})
 
 
 def test_mixed_family_product_in_noncanonical_order_keeps_its_text_and_sign():
     mixed = (
         (2 - 1j) * gen(aux(2, 1)) * gen(increment(70, 1)) * gen(eta(1)) * gen(aux(1)) * gen(increment(3, 2))
-        - 0.5 * gen(aux(1, 65)) * gen(increment(66, 8)) * gen(eta(8, 3))
+        - 0.5 * gen(aux(1, 15)) * gen(increment(66, 8)) * gen(eta(8, 3))
         + 0.25j * gen(increment(1, 1)) * gen(aux(1))
     )
     assert str(mixed) == (
-        "0.25i·δ[1;1]θ[1] + 0.5·η[3;8]δ[66;8]θ[65;1] + (-2.0+1.0i)·η[1]δ[3;2]δ[70;1]θ[1]θ[1;2]"
+        "-0.25i·θ[1]δ[1;1] - 0.5·η[3;8]θ[15;1]δ[66;8] + (-2.0+1.0i)·η[1]θ[1]θ[1;2]δ[3;2]δ[70;1]"
     )
-    assert mixed.coefficient((eta(1), increment(3, 2), increment(70, 1), aux(1), aux(2, 1))) == -2 + 1j
-    assert mixed.coefficient((eta(8, 3), increment(66, 8), aux(1, 65))) == 0.5
+    assert mixed.coefficient((eta(1), aux(1), aux(2, 1), increment(3, 2), increment(70, 1))) == -2 + 1j
+    assert mixed.coefficient((eta(8, 3), aux(1, 15), increment(66, 8))) == -0.5
 
 
-# Every family, increment slices and auxiliary sets on both sides of 64, and
-# every component up to the cap.
+# Every family, increment slices on both sides of 64, auxiliary sets up to
+# the last one, and every component up to the cap.
 GENERATORS = st.one_of(
     st.builds(eta, st.integers(1, COMPONENT_CAP), st.integers(0, VARIABLE_SETS - 1)),
     st.builds(increment, st.sampled_from((0, 1, 2, 5, 63, 64, 65, 200)), st.integers(1, COMPONENT_CAP)),
-    st.builds(aux, st.integers(1, COMPONENT_CAP), st.sampled_from((0, 1, 2, 5, 63, 64, 65, 200))),
+    st.builds(aux, st.integers(1, COMPONENT_CAP), st.sampled_from((0, 1, 2, 5, 14, AUXILIARY_SETS - 1))),
 )
 # A small mixed pool, so that random products share generators and vanish.
-POOL = (eta(1), eta(2), eta(3, 3), increment(1, 1), increment(1, 2), increment(65, 8), aux(1), aux(2), aux(1, 64))
+POOL = (eta(1), eta(2), eta(3, 3), increment(1, 1), increment(1, 2), increment(65, 8), aux(1), aux(2), aux(1, 15))
 # Small integer coefficients keep every product and sum exact, so the laws hold exactly.
 COEFFICIENTS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 LAWS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -418,9 +421,8 @@ def test_derivative_and_integral_signs_match_position_counting(gens, data):
 
 
 # Sums and substitutions against the rules they must keep, on keys that mix
-# every family, with an auxiliary set past the 1024 that the auxiliary mask
-# covers lying below an increment slice in bit order.
-MIXED_POOL = POOL + (increment(1101, 1), aux(2, 1100))
+# every family, with an increment slice far above the last auxiliary set.
+MIXED_POOL = POOL + (increment(1101, 1), aux(2, 15))
 MIXED_KEYS = st.lists(st.sampled_from(MIXED_POOL), max_size=4, unique=True).map(multi_index)
 # Parts near the prune threshold, and zeros of both signs.
 PARTS = st.one_of(

@@ -73,6 +73,8 @@ def test_spec_parity_validation():
         HamiltonianSpec(2, 2, ZERO, (ZERO, ZERO), ((X1, ZERO), (ZERO, X1)), SV)  # odd diffusion
     with pytest.raises(ValueError):
         HamiltonianSpec(2, 3, ZERO, (ZERO, ZERO), ((ZERO,) * 3, (ZERO,) * 3), SV)  # odd m
+    with pytest.raises(ValueError, match="state variables must be distinct"):
+        HamiltonianSpec(2, 2, ZERO, (ZERO, ZERO), ((ONE, ZERO), (ZERO, ONE)), (eta(1), eta(1)))
 
 
 @pytest.mark.parametrize("m", [10, 0])
@@ -375,7 +377,7 @@ def fk_slices(draw):
         tuple(tuple(diffusion_field() for _ in range(m)) for _ in range(n)),
         variables,
     )
-    pool = list(variables) + rng.sample([eta(1, 1), eta(2, 1), aux(1), aux(2), aux(1, 70)], rng.randint(0, 3))
+    pool = list(variables) + rng.sample([eta(1, 1), eta(2, 1), aux(1), aux(2), aux(1, 15)], rng.randint(0, 3))
     f = sum((_random_element(rng, pool, rng.randint(0, 1), 1.0) for _ in range(3)), start=ZERO)
     if dense:
         f = f + monomial(variables, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))

@@ -250,7 +250,7 @@ def test_pairing_rule_is_the_slice_product_and_strip_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
-@pytest.mark.parametrize("r", [1, 70])  # slice 70 lies past bit 1024
+@pytest.mark.parametrize("r", [1, 70])  # slice 70 starts at bit 720
 def test_slice_density_is_the_heat_kernel_by_complement(m, r):
     ids = WienerSpace(m).increment_ids(r)
     for t in (0.7, 1e-4):
@@ -408,7 +408,7 @@ def test_joint_density_consistency_under_marginalization():
         times = sorted({round(rng.uniform(0.05, 1.0), 3) for _ in range(count)})
         if len(times) < 2:
             continue
-        sets = [tuple(aux(c, 40 + trial * 8 + i) for c in (1, 2)) for i in range(len(times))]
+        sets = [tuple(aux(c, 12 + i) for c in (1, 2)) for i in range(len(times))]
         joint = finite_distribution(SPACE, times, sets)
         marginal = finite_distribution(SPACE, times[:-1], sets[:-1])
         reduced = berezin_integrate(joint.body, sets[-1])
