@@ -124,8 +124,10 @@ def _block_shift(family: int, slice_index: int) -> int:
         return COMPONENT_CAP * (_FIXED_SETS + slice_index)
     if family == Family.VARIABLE:
         name, first, sets = "variable", 0, VARIABLE_SETS
-    else:
+    elif family == Family.AUXILIARY:
         name, first, sets = "auxiliary", VARIABLE_SETS, AUXILIARY_SETS
+    else:
+        raise ValueError(f"unknown generator family {family}")
     if slice_index >= sets:
         raise ValueError(f"{name} set {slice_index} is outside 0..{sets - 1}: sets are capped at {sets}")
     return COMPONENT_CAP * (first + slice_index)

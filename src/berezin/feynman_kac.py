@@ -419,11 +419,26 @@ def _derivative_pairs(
 
 
 def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
-    """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis:
-    every basis column goes through one ``_evolution`` of ``h``, so the
-    columns share its g table, pair lists and per-width images."""
+    """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis,
+    as the ordered product M_1 M_2 ... M_N of one-slice transfer matrices.
+
+    M_r is the matrix of one ``fk_evolve`` slice of width dt_r: the basis
+    goes through ``h``'s one ``_evolution`` on the partition (0, dt_r), once
+    per distinct width, so each column of M_r is that slice's
+    ``fk_evolve`` image bit for bit.  Since ``fk_evolve`` applies slice N
+    first, the product is accumulated from the right, M_r times the product
+    of the later slices, as the evolution applies them to a column.
+    """
     evolve = _evolution(h)
-    return operator_matrix(lambda f: evolve(f, partition), h.variables)
+
+    @cache
+    def width(dt: float) -> np.ndarray:
+        return operator_matrix(lambda f: evolve(f, Partition((0.0, dt))), h.variables).matrix
+
+    product = width(partition.delta(partition.steps))
+    for r in range(partition.steps - 1, 0, -1):
+        product = width(partition.delta(r)) @ product
+    return OperatorMatrix(product, h.variables)
 
 
 def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:

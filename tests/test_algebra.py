@@ -298,6 +298,14 @@ def test_generators_beyond_the_block_caps_are_rejected():
         monomial((eta(1), aux(1, 16)))
 
 
+@pytest.mark.parametrize("family", [7, -1])
+def test_generators_of_an_unknown_family_are_rejected(family):
+    with pytest.raises(ValueError, match=f"unknown generator family {family}$"):
+        gen(GeneratorId(family, 0, 1))
+    with pytest.raises(ValueError, match=f"unknown generator family {family}$"):
+        monomial((eta(1), GeneratorId(family, 0, 1)))
+
+
 def test_serialized_keys_out_of_canonical_order_are_refused():
     # η[2]·η[1] is -η[1]η[2]: reading the key as sorted would flip the sign.
     with pytest.raises(ValueError, match="'v0.2 v0.1'.*canonical order"):

@@ -423,10 +423,27 @@ def test_two_pair_terms_match_the_increment_route(m):
 @pytest.mark.parametrize("partition", [Partition.uniform(1.0, 16), Partition((0.0, 0.25, 0.5, 0.6, 1.0))])
 @pytest.mark.parametrize("name", EXAMPLE_NAMES + ("random",))
 def test_operator_columns_are_the_evolved_basis_monomials(name, partition):
+    # One-slice operators hold the fk_evolve images exactly; a longer
+    # partition's operator is exactly their product, slice 1 leftmost
+    # (fk_evolve applies slice N first), and its columns agree with
+    # fk_evolve to round-off.
     h = _wide_hamiltonian(4, 4, seed=44) if name == "random" else example_hamiltonian(name, lam=0.7)
+    basis = basis_elements(h.variables)
+    slices = []
+    for r in range(1, partition.steps + 1):
+        one_slice = Partition((0.0, partition.delta(r)))
+        op = fk_operator(h, one_slice)
+        for col, f in enumerate(basis):
+            assert (op.matrix[:, col] == element_coordinates(fk_evolve(h, f, one_slice), h.variables)).all(), (r, col)
+        slices.append(op.matrix)
+    product = slices[-1]
+    for m in reversed(slices[:-1]):
+        product = m @ product
     op = fk_operator(h, partition)
-    for col, f in enumerate(basis_elements(h.variables)):
-        assert (op.matrix[:, col] == element_coordinates(fk_evolve(h, f, partition), h.variables)).all(), col
+    assert (op.matrix == product).all()
+    for col, f in enumerate(basis):
+        want = element_coordinates(fk_evolve(h, f, partition), h.variables)
+        assert np.abs(op.matrix[:, col] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), col
 
 
 def test_operator_contracts_the_second_order_coefficients_once(monkeypatch):
