@@ -198,14 +198,44 @@ def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) 
     sum rounds the same way in every product.
     """
     data: dict[MultiIndex, complex] = {}
+    get = data.get
     for ka, ca in left.items():
         above = _above(ka)
         plus, minus = 1 * ca, -1 * ca
         for kb, cb in right.items():
             if not ka & kb:
                 mi = ka | kb
-                data[mi] = data.get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
+                data[mi] = get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
     return data
+
+
+def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, complex], factor: Scalar | None = None) -> None:
+    """Add the terms of a pruned element, times ``factor`` when given, into
+    ``data`` in place: the sum rule of every element accumulation.
+
+    ``data`` must hold no coefficient below the prune threshold.  Each
+    addend term is first scaled and pruned as ``factor * element`` would
+    scale and prune it, then added as ``+`` adds it, and only the keys the
+    addend touched are pruned afterwards.  So ``data`` ends up as
+    ``element + factor * addend`` would hold it, key order, rounding and
+    signs of zero included, without the copy of the accumulator that each
+    ``+`` makes.
+    """
+    get = data.get
+    if factor is None:
+        for key, c in terms.items():
+            data[key] = get(key, 0j) + c
+        touched: Iterable[MultiIndex] = terms
+    else:
+        touched = []
+        for key, c in terms.items():
+            c = c * factor
+            if abs(c) >= PRUNE:
+                data[key] = get(key, 0j) + c
+                touched.append(key)
+    for key in touched:
+        if not abs(data[key]) >= PRUNE:
+            del data[key]
 
 
 class GrassmannElement:
@@ -238,6 +268,13 @@ class GrassmannElement:
         values = data.values() if touched is None else map(data.__getitem__, touched)
         if not all(map(PRUNE.__le__, map(abs, values))):
             data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE}
+        return cls._wrap(data)
+
+    @classmethod
+    def _wrap(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
+        """The element on ``data``, a fresh dict of Python complex coefficients
+        none of which lies below the prune threshold (as ``_add_into`` leaves
+        it): no copy and no scan."""
         element = cls.__new__(cls)
         element._terms = data
         return element
@@ -300,7 +337,13 @@ class GrassmannElement:
 
     def has_parity(self, p: Parity) -> bool:
         """Whether the element is zero or of parity ``p``; zero counts as every parity."""
-        return not self._terms or self.parity() is p
+        if p is Parity.MIXED:
+            return not self._terms or self.parity() is p
+        degree = 1 if p is Parity.ODD else 0
+        for mi in self._terms:
+            if (mi.bit_count() & 1) != degree:
+                return False
+        return True
 
     def parity(self) -> Parity:
         degrees = {mi.bit_count() & 1 for mi in self._terms}
@@ -317,9 +360,8 @@ class GrassmannElement:
         if other is NotImplemented:
             return NotImplemented
         data = dict(self._terms)
-        for mi, c in other._terms.items():
-            data[mi] = data.get(mi, 0j) + c
-        return GrassmannElement._adopt(data, other._terms)  # both operands are pruned
+        _add_into(data, other._terms)
+        return GrassmannElement._wrap(data)
 
     __radd__ = __add__
 
@@ -340,7 +382,8 @@ class GrassmannElement:
 
     def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
-            return GrassmannElement({mi: c * other for mi, c in self._terms.items()})
+            other = _native(other)
+            return GrassmannElement._adopt({mi: c * other for mi, c in self._terms.items()})
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         return GrassmannElement._adopt(_product(self._terms, other._terms))
@@ -349,7 +392,8 @@ class GrassmannElement:
 
     def __truediv__(self, other: Scalar) -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
-            return GrassmannElement({mi: c / other for mi, c in self._terms.items()})
+            other = _native(other)
+            return GrassmannElement._adopt({mi: c / other for mi, c in self._terms.items()})
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
@@ -381,6 +425,12 @@ class GrassmannElement:
 
     def __repr__(self) -> str:
         return f"<GrassmannElement {self}>"
+
+
+def _native(value: Scalar) -> Scalar:
+    """A scalar whose products with Python complex coefficients are Python
+    complex: a complex subclass (a numpy complex scalar) becomes a complex."""
+    return complex(value) if isinstance(value, complex) else value
 
 
 def _coerce(value: "GrassmannElement | Scalar") -> GrassmannElement:
@@ -504,7 +554,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
     A term is the product, in canonical generator order, of its coefficient
     and each generator's image; a term with no mapped generator is kept as
     it is, which is that product up to the signs of zero parts.  The terms
-    are summed in order, as ``ZERO + t1 + t2 + ...`` sums them.
+    are summed in order by ``_add_into``, as ``ZERO + t1 + t2 + ...`` sums them.
     """
     mapped = reduce(or_, images, 0)
     data: dict[MultiIndex, complex] = {}
@@ -519,13 +569,8 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
                 if term.is_zero():
                     break
             terms = term._terms
-        # Summed in place, pruned after each term as a chain of ``+`` would be.
-        for key, c in terms.items():
-            data[key] = data.get(key, 0j) + c
-        for key in terms:
-            if not abs(data[key]) >= PRUNE:
-                del data[key]
-    return GrassmannElement._adopt(data)
+        _add_into(data, terms)
+    return GrassmannElement._wrap(data)
 
 
 def _split_terms(a: GrassmannElement, bits: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, complex]]:

@@ -20,8 +20,9 @@ from typing import Iterable, Sequence
 from .algebra import (
     GeneratorId,
     GrassmannElement,
+    MultiIndex,
     Parity,
-    ZERO,
+    _add_into,
     _strip_generator,
     gen,
     substitute,
@@ -125,7 +126,7 @@ def taylor_residual(
             raise ValueError("base and shift entries must be odd elements")
 
     lhs = f(*[b + s for b, s in zip(base, shift)])
-    rhs = ZERO
+    rhs: dict[MultiIndex, complex] = {}
     for subset in _subsets(range(n)):
         derived = f
         for j in subset:  # rightmost derivative in the operator string acts first
@@ -133,8 +134,8 @@ def taylor_residual(
         term = derived(*base)
         for j in reversed(subset):
             term = shift[j] * term
-        rhs = rhs + term
-    return (lhs - rhs).norm()
+        _add_into(rhs, term._terms)
+    return (lhs - GrassmannElement._wrap(rhs)).norm()
 
 
 def _subsets(indices: Iterable[int]) -> Iterable[tuple[int, ...]]:

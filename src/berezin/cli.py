@@ -162,7 +162,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     fk_vs_closed = float((fk_kernels[-1].body - closed.body).norm())
 
     if name == "quartic":
-        top_gap = float(abs(1.0 - np.exp(-2.0 * params["b"] * t)))
+        top_gap = float(abs(np.expm1(-2.0 * params["b"] * t)))
         label = "reference closed form differs from the oracle by the known top-slot gap"
         checks = [Check(label, abs(oracle_vs_closed - top_gap), tol)]
     else:

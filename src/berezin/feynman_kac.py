@@ -45,6 +45,7 @@ from .algebra import (
     multi_index,
     scalar,
     substitute,
+    _add_into,
     _odd_images,
     _split_terms,
     _substitute_odd,
@@ -181,11 +182,11 @@ def _hamiltonian_action(h: HamiltonianSpec) -> Callable[[GrassmannElement], Gras
     g = _second_order_table(h)
 
     def action(f: GrassmannElement) -> GrassmannElement:
-        out = h.potential * f
+        out = dict((h.potential * f)._terms)
         for j in range(h.n):
             df = derivative_element(f, h.variables[j])
             if not df.is_zero():
-                out = out + 1j * (h.drift_fields[j] * df)
+                _add_into(out, (h.drift_fields[j] * df)._terms, 1j)
         for k in range(h.n):
             dk = derivative_element(f, h.variables[k])
             if dk.is_zero():
@@ -194,8 +195,8 @@ def _hamiltonian_action(h: HamiltonianSpec) -> Callable[[GrassmannElement], Gras
                 ddf = derivative_element(dk, h.variables[j])
                 if ddf.is_zero() or g[k][j].is_zero():
                     continue
-                out = out + 0.5 * (g[k][j] * ddf)
-        return out
+                _add_into(out, (g[k][j] * ddf)._terms, 0.5)
+        return GrassmannElement._wrap(out)
 
     return action
 
@@ -382,11 +383,11 @@ def _evolution(h: HamiltonianSpec) -> Callable[[GrassmannElement, Partition], Gr
                 acc = by_rest.setdefault(t, {})
                 for key, value in image(s).items():
                     acc[key] = acc.get(key, 0j) + c * value
-            total = ZERO
+            total: dict[MultiIndex, complex] = {}
             for t, acc in by_rest.items():
                 part = GrassmannElement(acc)
-                total = total + (part * GrassmannElement({t: 1.0}) if t else part)
-            current = weight * total
+                _add_into(total, (part * GrassmannElement({t: 1.0}) if t else part)._terms)
+            current = weight * GrassmannElement._wrap(total)
         return current
 
     return evolve
@@ -478,7 +479,7 @@ def kernel_extract(
     in_vars = tuple(in_variables)
     if len(in_vars) != n or set(in_vars) & set(op.variables):
         raise ValueError("integrated variables must be fresh and match the dimension")
-    body = ZERO
+    body: dict[MultiIndex, complex] = {}
     for col, subset in enumerate(op.basis):
         complement = tuple(i for i in range(n) if i not in subset)
         comp_mono = GrassmannElement.from_monomial(tuple(in_vars[i] for i in complement))
@@ -491,8 +492,8 @@ def kernel_extract(
             out_mono = GrassmannElement.from_monomial(
                 tuple(op.variables[i] for i in image_subset)
             )
-            body = body + (u / sign) * (out_mono * comp_mono)
-    return SupersmoothFunction(body, op.variables + in_vars)
+            _add_into(body, (out_mono * comp_mono)._terms, u / sign)
+    return SupersmoothFunction(GrassmannElement._wrap(body), op.variables + in_vars)
 
 
 def oracle_kernel(h: HamiltonianSpec, t: float) -> SupersmoothFunction:
@@ -516,6 +517,9 @@ def closed_form_kernel(
     ``kernel_variables(2)``.
     The quartic formula is kept in its reference form; it does not match the
     operator exponential in the top slot (see the module docstring).
+    The constants 1 - e^{-2rt} and e^{-2bt} - 1 come from ``np.expm1``,
+    which keeps them accurate to the last bits as rt or bt goes to zero;
+    a subtraction loses them (at r = 1e-300 it gives 0.0 for 2e-300).
     """
     if t <= 0:
         raise ParameterError("t", "t must be positive")
@@ -538,7 +542,7 @@ def closed_form_kernel(
         body = (
             et1 * et2
             - decay * (xi1 * et2 + et1 * xi2)
-            + scalar(c * c / (2 * r) * (1 - decay * decay))
+            + scalar(c * c / (2 * r) * -np.expm1(-2 * r * t))
             + (decay * decay) * (xi1 * xi2)
         )
         return SupersmoothFunction(body, variables)
@@ -550,7 +554,7 @@ def closed_form_kernel(
         if b == 0:
             raise ParameterError("b", "the coupling b must be nonzero")
         delta = grassmann_delta(in_vars, out_vars).body
-        body = delta + scalar(c * c / (2 * b) * (np.exp(-2 * b * t) - 1))
+        body = delta + scalar(c * c / (2 * b) * np.expm1(-2 * b * t))
         return SupersmoothFunction(body, variables)
     raise ValueError(f"unknown kernel name {name!r}")
 

@@ -24,8 +24,10 @@ from typing import Callable, Mapping, Sequence
 from .algebra import (
     Family,
     GrassmannElement,
+    MultiIndex,
     Parity,
     ZERO,
+    _add_into,
     _image_bits,
     _odd_images,
     _substitute_odd,
@@ -142,9 +144,18 @@ def time_integral(x: AdaptedProcess) -> AdaptedProcess:
     out = [acc]
     for r in range(1, x.partition.steps + 1):
         dt = x.partition.delta(r)
-        acc = tuple(a + dt * v for a, v in zip(acc, x.values[r - 1]))
+        acc = tuple(_axpy(a, dt, v) for a, v in zip(acc, x.values[r - 1]))
         out.append(acc)
     return AdaptedProcess(x.space, x.partition, tuple(out))
+
+
+def _axpy(x: GrassmannElement, factor: float, a: GrassmannElement, *more: GrassmannElement) -> GrassmannElement:
+    """``x + factor * a + more[0] + ...``, summed in place by ``_add_into``."""
+    data = dict(x._terms)
+    _add_into(data, a._terms, factor)
+    for n in more:
+        _add_into(data, n._terms)
+    return GrassmannElement._wrap(data)
 
 
 def ito_integral(c: AdaptedMatrix) -> AdaptedProcess:
@@ -183,12 +194,12 @@ def isometry_residual(c: AdaptedMatrix, i: int, j: int) -> float:
 
     motion = BrownianMotion(space, partition)
     lhs = motion.expect_element(z_i * z_j)
-    rhs = ZERO
+    rhs: dict[MultiIndex, complex] = {}
     for r in range(1, partition.steps + 1):
         prev = c.values[r - 1]
         step = space.contract(prev[i], prev[j])
-        rhs = rhs + partition.delta(r) * sign * motion.expect_element(step)
-    return (lhs - rhs).norm()
+        _add_into(rhs, motion.expect_element(step)._terms, partition.delta(r) * sign)
+    return (lhs - GrassmannElement._wrap(rhs)).norm()
 
 
 # -- stochastic differential equations ---------------------------------
@@ -259,7 +270,7 @@ def _coefficients_at(spec: SdeSpec, node: Node) -> tuple[Node, Sequence[Node]]:
 def _euler_step(base: Node, dt: float, drift_vals: Node, noise: Node) -> tuple[GrassmannElement, ...]:
     """The left-endpoint Euler step base + dt * A + noise, componentwise, for
     drift values A and noise sum_a dbeta^a C_{., a} already evaluated."""
-    return tuple(x + dt * a + n for x, a, n in zip(base, drift_vals, noise))
+    return tuple(_axpy(x, dt, a, n) for x, a, n in zip(base, drift_vals, noise))
 
 
 def _euler_node(
@@ -369,13 +380,20 @@ class MixedPolynomial:
     def __call__(
         self, evens: Sequence[GrassmannElement], odds: Sequence[GrassmannElement]
     ) -> GrassmannElement:
+        self._check_arguments(evens, odds)
+        return self._evaluate(evens, odds)
+
+    def _check_arguments(self, evens: Sequence[GrassmannElement], odds: Sequence[GrassmannElement]) -> None:
         if len(evens) != self.even_count or len(odds) != self.odd_count:
             raise ValueError("argument counts must match the variable counts")
         if not all(x.has_parity(Parity.EVEN) for x in evens):
             raise ValueError("even slots take even elements")
         if not all(x.has_parity(Parity.ODD) for x in odds):
             raise ValueError("odd slots take odd elements")
-        total = ZERO
+
+    def _evaluate(self, evens: Sequence[GrassmannElement], odds: Sequence[GrassmannElement]) -> GrassmannElement:
+        """``__call__`` on arguments ``_check_arguments`` has accepted."""
+        total: dict[MultiIndex, complex] = {}
         for (exps, odd_indices), coeff in self.terms.items():
             term = GrassmannElement.from_scalar(coeff)
             for x, e in zip(evens, exps):
@@ -383,8 +401,8 @@ class MixedPolynomial:
                     term = term * x
             for j in odd_indices:
                 term = term * odds[j - 1]
-            total = total + term
-        return total
+            _add_into(total, term._terms)
+        return GrassmannElement._wrap(total)
 
     def derivative_even(self, i: int) -> "MixedPolynomial":
         """Ordinary partial derivative in the i-th (1-based) even slot."""
@@ -506,7 +524,7 @@ def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
         return node[:p], node[p:]
 
     lhs = f(*split(x.values[-1]))
-    rhs = f(*split(x.values[0]))
+    rhs = dict(f(*split(x.values[0]))._terms)
     first = [f.derivative(i + 1) for i in range(k)]
     second = [[first[i].derivative(j + 1) for j in range(k)] for i in range(k)]
 
@@ -514,22 +532,23 @@ def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
         dt = partition.delta(r)
         increments = space.increment_elements(r)
         evens, odds = split(x.values[r - 1])
+        f._check_arguments(evens, odds)  # once for F and all its derivatives
         for i in range(k):
-            df = first[i](evens, odds)
+            df = first[i]._evaluate(evens, odds)
             if df.is_zero():
                 continue
             dx = dt * x.drift[r - 1][i] + space.noise(increments, x.diffusion[r - 1][i])
-            rhs = rhs + dx * df
+            _add_into(rhs, (dx * df)._terms)
         for i in range(k):
             for j in range(k):
-                ddf = second[i][j](evens, odds)  # d_j d_i F, the d_i acting first
+                ddf = second[i][j]._evaluate(evens, odds)  # d_j d_i F, the d_i acting first
                 if ddf.is_zero():
                     continue
                 contraction = space.contract(x.diffusion[r - 1][i], x.diffusion[r - 1][j])
-                rhs = rhs + 0.5 * dt * signs[i] * contraction * ddf
+                _add_into(rhs, (0.5 * dt * signs[i] * contraction * ddf)._terms)
 
     motion = BrownianMotion(space, partition)
-    return (motion.expect_element(lhs) - motion.expect_element(rhs)).norm()
+    return (motion.expect_element(lhs) - motion.expect_element(GrassmannElement._wrap(rhs))).norm()
 
 
 def integration_by_parts_residual(x: ItoProcess) -> float:

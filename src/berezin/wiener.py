@@ -11,8 +11,12 @@ slice, ``SliceDensity``: the slice's bits and its pairing table, built
 from the closed form of ``heat_kernel``'s product over the pairs, with no
 element product and no prune.  ``BrownianMotion`` and ``_integrate_slice``,
 the one-slice oracle that tests call, read it, and they build slice masks
-from generator ids only, so no bit position is assumed outside ``algebra``.
-The increments of distinct slices
+from generator ids only, so no bit position is assumed outside ``algebra``;
+a ``WienerSpace`` builds one density per width, on slice 0, which a motion
+moves to slice r by the distance between the two slices' first bits, since
+every block lays out its components alike.  ``WienerSpace.noise`` takes
+its products with increment generators in closed form, relying only on
+bit order being canonical order.  The increments of distinct slices
 are independent, so the default engine takes an expectation in one pass
 over the functional's terms: each term walks only the slices its key
 touches, last slice first, multiplying in one pairing coefficient per
@@ -41,7 +45,7 @@ from .algebra import (
     MultiIndex,
     ONE,
     PRUNE,
-    ZERO,
+    _add_into,
     gen,
     increment,
     multi_index,
@@ -132,6 +136,8 @@ class WienerSpace:
         if m < 2 or m % 2 or m > COMPONENT_CAP:
             raise ValueError(f"the Brownian dimension m must be an even integer from 2 to {COMPONENT_CAP}")
         self.m = m
+        self._bits: dict[int, tuple[MultiIndex, ...]] = {}
+        self._densities: dict[float, SliceDensity] = {}
 
     def eps(self, a: int, b: int) -> int:
         """Pairing e^{ab} for 1-based component indices."""
@@ -154,24 +160,66 @@ class WienerSpace:
     def contract(
         self, x: Sequence[GrassmannElement], y: Sequence[GrassmannElement]
     ) -> GrassmannElement:
-        """Pairing contraction sum_{a,b} e^{ab} x_b y_a of two m-component rows."""
-        out = ZERO
+        """Pairing contraction sum_{a,b} e^{ab} x_b y_a of two m-component rows,
+        summed in place in the order of ``ZERO + x2 y1 - x1 y2 + ...``."""
+        data: dict[MultiIndex, complex] = {}
         for k in range(0, self.m, 2):
-            out = out + x[k + 1] * y[k] - x[k] * y[k + 1]
-        return out
+            _add_into(data, (x[k + 1] * y[k])._terms)
+            _add_into(data, (-(x[k] * y[k + 1]))._terms)  # adding -p is subtracting p, bit for bit
+        return GrassmannElement._wrap(data)
 
     @staticmethod
     def noise(
         increments: Sequence[GrassmannElement], coefficients: Sequence[GrassmannElement]
     ) -> GrassmannElement:
-        """Euler noise step sum_a dbeta^a C_a, increments multiplying from the left."""
-        return sum((d * c for d, c in zip(increments, coefficients)), start=ZERO)
+        """Euler noise step sum_a dbeta^a C_a, increments multiplying from the left.
+
+        Each increment is one generator b with coefficient k, so dbeta^a C_a
+        is a bit merge: a term c X of C_a with X & b = 0 goes to X | b with
+        the sign (-1)^popcount(X & (b - 1)) of moving b past the generators
+        of X below it.  The coefficient is ``_product``'s 0j + (+-1 k) c, each
+        product is pruned as ``*`` prunes it, and the products are summed
+        in place in the order of ``ZERO + d1 C1 + d2 C2 + ...``, so the result
+        equals that chain bit for bit.
+        """
+        data: dict[MultiIndex, complex] = {}
+        for d, c in zip(increments, coefficients):
+            ((b, k),) = d.items()
+            below = b - 1
+            if not b or b & below:
+                raise ValueError(f"an increment must be one generator, got {d}")
+            plus, minus = 1 * k, -1 * k
+            product: dict[MultiIndex, complex] = {}
+            for x, cx in c.items():
+                if not x & b:
+                    value = 0j + (minus if (x & below).bit_count() & 1 else plus) * cx
+                    if abs(value) >= PRUNE:
+                        product[x | b] = value
+            _add_into(data, product)
+        return GrassmannElement._wrap(data)
 
     def increment_ids(self, slice_index: int) -> tuple[GeneratorId, ...]:
         return tuple(increment(slice_index, a) for a in range(1, self.m + 1))
 
+    def _increment_bits(self, slice_index: int) -> tuple[MultiIndex, ...]:
+        """The one-bit multi-index of each increment generator of a slice,
+        looked up once per space and slice."""
+        bits = self._bits.get(slice_index)
+        if bits is None:
+            bits = self._bits[slice_index] = tuple(multi_index((g,)) for g in self.increment_ids(slice_index))
+        return bits
+
     def increment_elements(self, slice_index: int) -> tuple[GrassmannElement, ...]:
-        return tuple(gen(g) for g in self.increment_ids(slice_index))
+        """The increment generators of a slice as elements, ``gen`` of each."""
+        return tuple(GrassmannElement._wrap({b: 1 + 0j}) for b in self._increment_bits(slice_index))
+
+    def _width_density(self, width: float) -> SliceDensity:
+        """The density of a slice of ``width`` on increment slice 0, built by
+        ``_slice_density`` once per space and width."""
+        density = self._densities.get(width)
+        if density is None:
+            density = self._densities[width] = _slice_density(self.increment_ids(0), width)
+        return density
 
     def __repr__(self) -> str:
         return f"WienerSpace(m={self.m})"
@@ -282,12 +330,12 @@ def free_hamiltonian_apply(space: WienerSpace, f: SupersmoothFunction) -> Supers
     """Apply the free operator (1/2) e^{ij} d_i d_j to a function of m variables."""
     if f.dimension != space.m:
         raise ValueError("function dimension must equal the space dimension")
-    out = ZERO
+    out: dict[MultiIndex, complex] = {}
     v, d = f.variables, derivative_element
     for k in range(0, space.m, 2):  # e^{ij} is +1 on (v[k], v[k+1]) and -1 on the reverse
-        out = out + 0.5 * d(d(f.body, v[k + 1]), v[k])
-        out = out + -0.5 * d(d(f.body, v[k]), v[k + 1])
-    return SupersmoothFunction(out, f.variables)
+        _add_into(out, d(d(f.body, v[k + 1]), v[k])._terms, 0.5)
+        _add_into(out, d(d(f.body, v[k]), v[k + 1])._terms, -0.5)
+    return SupersmoothFunction(GrassmannElement._wrap(out), f.variables)
 
 
 def heat_equation_residual(space: WienerSpace, variables: Sequence[GeneratorId], t: float) -> float:
@@ -309,12 +357,12 @@ class BrownianMotion:
     node r is the sum of the first r increments.  An expectation is one
     pass over the functional's terms: a term meets the slices it touches,
     last slice first, and takes from each slice's pairing table (the
-    ``SliceDensity`` that ``_slice_density`` gives, read once per slice and
-    instance) one factor, or is dropped.  The slice that holds a term's
-    highest remaining bit is looked up by that bit's length, under which
-    each of the slice's generator bits files the slice.  That equals
-    integrating each term alone with ``_integrate_slice`` and summing, bit
-    for bit.
+    ``SliceDensity`` that ``_slice_density`` gives, built once per space and
+    width and moved to the slice once per instance) one factor, or is
+    dropped.  The slice that holds a term's highest remaining bit is looked
+    up by that bit's length, under which each of the slice's generator bits
+    files the slice.  That equals integrating each term alone with
+    ``_integrate_slice`` and summing, bit for bit.
     """
 
     def __init__(self, space: WienerSpace, partition: Partition):
@@ -332,11 +380,11 @@ class BrownianMotion:
         """Path components beta^a at node r; node 0 is identically zero."""
         if not 0 <= r <= self.partition.steps:
             raise ValueError(f"node index {r} out of range")
-        comps = [GrassmannElement() for _ in range(self.space.m)]
+        comps: list[dict[MultiIndex, complex]] = [{} for _ in range(self.space.m)]
         for q in range(1, r + 1):
-            for a, inc in enumerate(self.space.increment_elements(q)):
-                comps[a] = comps[a] + inc
-        return tuple(comps)
+            for comp, b in zip(comps, self.space._increment_bits(q)):
+                comp[b] = 1 + 0j  # what ``ZERO + inc_1 + ... + inc_r`` holds: each bit occurs once
+        return tuple(GrassmannElement._wrap(comp) for comp in comps)
 
     def at_time(self, t: float) -> tuple[GrassmannElement, ...]:
         return self.at_node(self.partition.node_index(t))
@@ -363,14 +411,19 @@ class BrownianMotion:
         return slices
 
     def _density(self, r: int) -> SliceDensity:
-        """Slice r's density, read off ``_slice_density`` once per instance and
-        filed under the bit length of each of the slice's generator bits."""
+        """Slice r's density, once per instance: the space's density of the
+        slice width (``WienerSpace._width_density``) moved from slice 0 to
+        slice r, and filed under the bit length of each of the slice's
+        generator bits."""
         density = self._densities.get(r)
         if density is None:
-            ids = self.space.increment_ids(r)
-            density = self._densities[r] = _slice_density(ids, self.partition.delta(r))
-            for g in ids:
-                self._by_top[multi_index((g,)).bit_length()] = density
+            bits = self.space._increment_bits(r)
+            base = self.space._width_density(self.partition.delta(r))
+            shift = bits[0].bit_length() - (base.bits & -base.bits).bit_length()
+            table = {need << shift: c for need, c in base.table.items()}
+            density = self._densities[r] = SliceDensity(base.bits << shift, table)
+            for b in bits:
+                self._by_top[b.bit_length()] = density
         return density
 
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:

@@ -2,6 +2,7 @@ import json
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from berezin.algebra import (
     multi_index,
     scalar,
     substitute,
+    _add_into,
 )
 from berezin.verify import random_element
 
@@ -468,6 +470,43 @@ def test_sums_and_differences_prune_as_a_copy_add_and_prune_rule(operands):
     for got, want in ((a + b, _sum_rule(a, b, operator.add)), (a - b, _sum_rule(a, b, operator.sub))):
         assert list(got.items()) == list(want.items())
         assert repr([c for _, c in got.items()]) == repr([c for _, c in want.items()])  # signs of zero too
+
+
+def test_numpy_scalars_leave_python_complex_coefficients():
+    x = gen(eta(1)) + 0.5 * gen(eta(2))
+    for got, want in ((x * np.complex128(2j), x * 2j), (x / np.complex128(4.0), x / 4.0), (x * np.float64(3.0), x * 3.0)):
+        assert [type(c) for _, c in got.items()] == [complex, complex]
+        assert repr(list(got.items())) == repr(list(want.items()))
+
+
+# Factors that keep, shrink below the prune threshold, flip or rotate a term.
+FACTORS = st.sampled_from((1.0, -1.0, 0.5, 2.0, 1e-3, -1e-13, 1j, -0.7 + 0.2j, 3))
+
+
+@settings(LAWS)
+@given(near_cancelling_operands(), near_cancelling_operands(), FACTORS, st.booleans(), st.data())
+def test_in_place_sums_are_the_chain_of_sums_and_differences(first, second, factor, start, data):
+    """``_add_into`` keeps ``acc + x``, ``acc + factor * x`` and, on the
+    negated addend, ``acc - x``: the same keys in the same order, and the
+    same coefficients down to the signs of zero.  Near-cancelling operands
+    drop keys below the prune threshold, and later steps add them again."""
+    addends = first + second
+    acc = first[0] if start else ZERO
+    terms = dict(acc.items())
+    steps = data.draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(("+", "*", "-"))), min_size=1, max_size=8))
+    for index, kind in steps:
+        x = addends[index]
+        if kind == "+":
+            acc = acc + x
+            _add_into(terms, dict(x.items()))
+        elif kind == "*":
+            acc = acc + factor * x
+            _add_into(terms, dict(x.items()), factor)
+        else:
+            acc = acc - x
+            _add_into(terms, dict((-x).items()))
+        assert list(terms.items()) == list(acc.items())
+        assert repr(list(terms.values())) == repr([c for _, c in acc.items()])  # signs of zero too
 
 
 def _substitute_rule(a: GrassmannElement, images: dict) -> GrassmannElement:

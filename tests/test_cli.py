@@ -50,6 +50,13 @@ def test_kernel_report_for_the_linear_drift(capsys):
     assert closed["1"][0] == pytest.approx((1 - np.exp(-2.0)) / 2)
 
 
+@pytest.mark.parametrize("option", [("ou", "--r", "1e-8"), ("ou", "--r", "1e-300"), ("quartic", "--b", "1e-9")])
+def test_kernel_closed_form_checks_hold_at_small_rates(capsys, option):
+    code, out = run_cli(capsys, "kernel", *option, "--n", "64")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["value"] <= 1e-12
+
+
 def test_kernel_flat_single_step_is_error_free(capsys):
     code, out = run_cli(capsys, "kernel", "flat", "--t", "1", "--n", "1")
     assert code == 0

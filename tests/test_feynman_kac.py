@@ -539,6 +539,23 @@ def test_quartic_kernel_gap_is_confined_to_the_top_slot():
     assert remainder.norm() <= 1e-9
 
 
+@pytest.mark.parametrize("r", [1e-8, 1e-300])
+def test_the_ou_closed_form_keeps_its_constant_at_small_rates(r):
+    # 1 - e^{-2rt} by subtraction read 0.9999999883714139 at r = 1e-8 (the
+    # oracle reads 0.9999999900000001) and 0.0 at r = 1e-300 (oracle 1.0).
+    gap = (oracle_kernel(example_hamiltonian("ou", r=r), 1.0).body - closed_form_kernel("ou", 1.0, r=r).body).norm()
+    assert gap <= 1e-12
+
+
+def test_the_quartic_closed_form_keeps_its_constant_at_small_coupling():
+    b, t = 1e-9, 1.0
+    quartic = example_hamiltonian("quartic", b=b)
+    difference = oracle_kernel(quartic, t).body - closed_form_kernel("quartic", t, b=b).body
+    gap = difference.coefficient(SV)
+    assert abs(abs(gap) - abs(np.expm1(-2 * b * t))) <= 1e-12
+    assert (difference - gap * monomial(SV)).norm() <= 1e-12
+
+
 def test_kernel_round_trip_in_three_dimensions():
     from berezin.feynman_kac import OperatorMatrix
 

@@ -224,6 +224,73 @@ def test_sequential_engine_matches_joint_mode():
 COEFFICIENTS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
+def _noise_case(seed: int):
+    """Increments of slice s and coefficients over state variables,
+    auxiliary generators and the increments of earlier slices.  Some terms
+    hold the slice's own increments: their products vanish, or meet the
+    product of another increment on one key.  Parts are of every size, near
+    the prune threshold, or zeros of both signs."""
+    rng = random.Random(seed)
+    m = rng.choice((2, 4, 6, 8))
+    s = rng.choice((1, 3, 70))
+    space = WienerSpace(m)
+    own = tuple(dict.fromkeys((increment(s, 1), increment(s, 2), increment(s, m))))  # products meet on one key
+    pool = (eta(1), eta(2), eta(3, 1), aux(1), aux(2, 15), increment(s - 1, 2), increment(s - 1, 1)) + own
+
+    def part() -> float:
+        return rng.choice((rng.uniform(-2.0, 2.0), rng.uniform(5e-15, 3e-14), 0.0, -0.0))
+
+    coefficients = [
+        GrassmannElement(
+            {multi_index(sorted(rng.sample(pool, rng.randint(0, 4)))): complex(part(), part()) for _ in range(rng.randint(0, 6))}
+        )
+        for _ in range(m)
+    ]
+    return space.increment_elements(s), coefficients
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_the_closed_form_noise_is_the_sum_of_increment_products(seed):
+    increments, coefficients = _noise_case(seed)
+    got = WienerSpace.noise(increments, coefficients)
+    want = sum((d * c for d, c in zip(increments, coefficients)), start=ZERO)
+    assert list(got.items()) == list(want.items())
+    assert repr(list(got.items())) == repr(list(want.items()))  # signs of zero too
+
+
+def test_noise_takes_one_generator_per_increment():
+    for bad in (ZERO, 2 * gen(increment(1, 1)) + gen(increment(1, 2)), gen(increment(1, 1)) * gen(increment(1, 2)), ONE):
+        with pytest.raises(ValueError):
+            WienerSpace.noise([bad], [ONE])
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_increments_and_path_values_are_the_chained_sums(m):
+    space = WienerSpace(m)
+    motion = BrownianMotion(space, Partition.uniform(1.0, 5))
+    for r in range(1, 6):
+        assert [list(d.items()) for d in motion.increments(r)] == [list(gen(g).items()) for g in space.increment_ids(r)]
+    for r in range(6):
+        want = [ZERO] * m
+        for q in range(1, r + 1):
+            want = [w + gen(g) for w, g in zip(want, space.increment_ids(q))]
+        got = motion.at_node(r)
+        assert [list(x.items()) for x in got] == [list(w.items()) for w in want]
+        assert repr([list(x.items()) for x in got]) == repr([list(w.items()) for w in want])
+
+
+def test_slice_densities_are_built_once_per_space_and_width():
+    space = WienerSpace(4)
+    first = BrownianMotion(space, Partition.uniform(1.0, 4))
+    second = BrownianMotion(space, Partition((0.0, 0.25, 0.75)))
+    for motion, r in ((first, 1), (first, 3), (second, 1)):
+        density = motion._density(r)
+        assert density == _slice_density(space.increment_ids(r), motion.partition.delta(r))
+    assert first._density(2) is first._density(2)
+    assert set(space._densities) == {0.25}
+
+
 @st.composite
 def slice_integrands(draw):
     """An element over one slice's increments, with state variables below the
