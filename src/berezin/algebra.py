@@ -258,15 +258,10 @@ class GrassmannElement:
         self._terms = data
 
     @classmethod
-    def _adopt(
-        cls, data: dict[MultiIndex, complex], touched: Iterable[MultiIndex] | None = None
-    ) -> "GrassmannElement":
+    def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
-        ``__init__`` without its copy of every term when nothing is pruned.
-        ``touched``, when given, holds every key whose coefficient may lie
-        below the prune threshold; only those are checked."""
-        values = data.values() if touched is None else map(data.__getitem__, touched)
-        if not all(map(PRUNE.__le__, map(abs, values))):
+        ``__init__`` without its copy of every term when nothing is pruned."""
+        if not all(map(PRUNE.__le__, map(abs, data.values()))):
             data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE}
         return cls._wrap(data)
 
@@ -369,16 +364,13 @@ class GrassmannElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._terms)
-        for mi, c in other._terms.items():
-            data[mi] = data.get(mi, 0j) - c
-        return GrassmannElement._adopt(data, other._terms)  # both operands are pruned
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> "GrassmannElement":
         return _coerce(other).__sub__(self)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement._adopt({mi: -c for mi, c in self._terms.items()})
+        return GrassmannElement._wrap({mi: -c for mi, c in self._terms.items()})
 
     def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
         if isinstance(other, (int, float, complex)):
@@ -565,24 +557,12 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             term = GrassmannElement.from_scalar(coeff)
             for bit in _canonical_bits(mi):
                 factor = images.get(bit)
-                term = term * (GrassmannElement._adopt({bit: 1 + 0j}) if factor is None else factor)
+                term = term * (GrassmannElement._wrap({bit: 1 + 0j}) if factor is None else factor)
                 if term.is_zero():
                     break
             terms = term._terms
         _add_into(data, terms)
     return GrassmannElement._wrap(data)
-
-
-def _split_terms(a: GrassmannElement, bits: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, complex]]:
-    """Each term c X of ``a`` as (S, T, sigma c): S = X & ``bits``, T the rest
-    of X, and sigma the sign of the product S T = sigma X in canonical order,
-    -1 when an odd number of (T, S) generator pairs have the one of T first."""
-    for mi, c in a.items():
-        s = mi & bits
-        t = mi ^ s
-        if t and (_above(s) & t).bit_count() & 1:
-            c = -c
-        yield s, t, c
 
 
 def _canonical_bits(mi: MultiIndex) -> list[MultiIndex]:

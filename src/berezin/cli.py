@@ -102,6 +102,11 @@ def _time(text: str) -> float:
     return _option_values(text, float, lambda t: len(t) == 1 and 0 < t[0] < np.inf, rule)[0]
 
 
+def _finite(text: str) -> float:
+    rule = "the value must be a finite number"
+    return _option_values(text, float, lambda x: len(x) == 1 and np.isfinite(x[0]), rule)[0]
+
+
 def _brownian_dimension(text: str) -> int:
     rule = f"the Brownian dimension must be an even integer from 2 to {COMPONENT_CAP}"
     return _option_values(
@@ -299,7 +304,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     io_options.add_argument("--config", default=None, help="JSON object of option defaults")
     hamiltonian_options = argparse.ArgumentParser(add_help=False)
     for key, default in PARAMS.items():
-        hamiltonian_options.add_argument(f"--{key}", type=_time if key == "t" else float, default=default)
+        hamiltonian_options.add_argument(f"--{key}", type=_time if key == "t" else _finite, default=default)
 
     p_verify = sub.add_parser("verify", parents=[io_options], help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))

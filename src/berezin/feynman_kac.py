@@ -47,7 +47,6 @@ from .algebra import (
     substitute,
     _add_into,
     _odd_images,
-    _split_terms,
     _substitute_odd,
 )
 from .calculus import SupersmoothFunction, derivative_element, grassmann_delta
@@ -329,77 +328,75 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     E[f(u + xi)] = sum_k ((-dt)^k / k!) (G^k f)(u), with G = (1/2) g^{kj} d_j d_k
     the second-order part of H, its coefficients frozen at x; so no
     increment generator is ever built and the cost is linear in the slice
-    count.  The slices run through ``h``'s one evolution (``_evolution``),
-    which builds each distinct width's images once.  Exact when drift and
-    potential vanish; first-order accurate in the mesh otherwise.  ``f``
-    must not hold increment generators.
+    count.  Slices N ... 1 go in turn through ``h``'s one slice map
+    (``_slice_map``), which builds each distinct width's images once.
+    Generators of ``f`` outside ``h.variables`` are parameters: they ride
+    along, never mapped or differentiated.  Exact when drift and potential
+    vanish; first-order accurate in the mesh otherwise.  ``f`` must not
+    hold increment generators.
     """
     _reject_increments("fk_evolve's input", f)
-    return _evolution(h)(f, partition)
+    step = _slice_map(h)
+    for r in range(partition.steps, 0, -1):
+        f = step(f, partition.delta(r))
+    return f
 
 
-def _evolution(h: HamiltonianSpec) -> Callable[[GrassmannElement, Partition], GrassmannElement]:
-    """``fk_evolve`` of ``h`` as a function of the input and the partition.
+def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], GrassmannElement]:
+    """``step(f, dt)``, the map of one ``fk_evolve`` slice of width dt.
 
-    A slice of width dt maps c X = c sigma eta_S theta_T, the state monomial
-    eta_S times parameters theta_T (``_split_terms``), to c sigma Phi(eta_S)
-    theta_T, summed and then multiplied by the weight exp(-dt v).  The image
-    Phi(eta_S) is sum_P (-dt)^|P| g_P (D_P eta_S)(u) over the sets P of
-    disjoint index pairs k < j, with g_P the product of their g^{kj} and D_P
-    their d_j d_k (``_derivative_pairs``), and u the Euler step of
-    ``_euler_step`` with zero noise.  g is contracted once and each state
-    monomial's pairs are listed once; u, the weight and each eta_R(u) and
-    Phi(eta_S) are built once per width, on first use, and shared by every
-    input the returned function evolves.
+    A slice maps c X, for X a whole monomial key, to c Phi(X), summed and
+    then multiplied by the weight exp(-dt v).  The image Phi(X) is
+    sum_P (-dt)^|P| g_P (D_P X)(u) over the sets P of disjoint index pairs
+    k < j, with g_P the product of their g^{kj} and D_P their d_j d_k
+    (``_derivative_pairs``), and u the Euler step of ``_euler_step`` with
+    zero noise.  u maps only the state variables, so a parameter theta in X
+    stays in place; ``derivative_element`` signs each move of a derivative
+    past it, and since the pairs and g_P are even,
+    Phi(theta eta_S) = theta Phi(eta_S).  g is contracted once and each
+    key's pairs are listed once; u, the weight and each X(u) and Phi(X)
+    are built once per width, on first use, and shared by every input the
+    returned map steps.
     """
     g = _second_order_table(h)
     symbols = [gen(v) for v in h.variables]
     drift = [a.body for a in sde_spec(h, symbols).drift]
     no_noise = [ZERO] * h.n
-    state = multi_index(h.variables)
-    pairs = cache(lambda s: _derivative_pairs(s, h.variables, g))
+    pairs = cache(lambda x: _derivative_pairs(x, h.variables, g))
 
     @cache
     def width(dt: float) -> tuple[GrassmannElement, Callable[[MultiIndex], GrassmannElement]]:
-        """The weight exp(-dt v) and the image Phi of a state monomial by its bits."""
+        """The weight exp(-dt v) and the image Phi of a monomial by its key."""
         u = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, no_noise))))
-        moved = cache(lambda r: _substitute_odd(GrassmannElement({r: 1.0}), u))  # eta_R(u) by R
+        moved = cache(lambda r: _substitute_odd(GrassmannElement({r: 1.0}), u))  # X_R(u) by R
 
         @cache
-        def image(s: MultiIndex) -> GrassmannElement:
+        def image(x: MultiIndex) -> GrassmannElement:
             out = ZERO
-            for size, g_p, r in pairs(s):
+            for size, g_p, r in pairs(x):
                 out = out + ((-dt) ** size * g_p * moved(r) if size else moved(r))
             return out
 
         return grassmann_exp(-dt * h.potential), image
 
-    def evolve(f: GrassmannElement, partition: Partition) -> GrassmannElement:
-        current = f
-        for r in range(partition.steps, 0, -1):
-            weight, image = width(partition.delta(r))
-            by_rest: dict[MultiIndex, dict[MultiIndex, complex]] = {}
-            for s, t, c in _split_terms(current, state):
-                acc = by_rest.setdefault(t, {})
-                for key, value in image(s).items():
-                    acc[key] = acc.get(key, 0j) + c * value
-            total: dict[MultiIndex, complex] = {}
-            for t, acc in by_rest.items():
-                part = GrassmannElement(acc)
-                _add_into(total, (part * GrassmannElement({t: 1.0}) if t else part)._terms)
-            current = weight * GrassmannElement._wrap(total)
-        return current
+    def step(f: GrassmannElement, dt: float) -> GrassmannElement:
+        weight, image = width(dt)
+        total: dict[MultiIndex, complex] = {}
+        for x, c in f.items():
+            for key, value in image(x).items():
+                total[key] = total.get(key, 0j) + c * value
+        return weight * GrassmannElement._adopt(total)
 
-    return evolve
+    return step
 
 
 def _derivative_pairs(
-    s: MultiIndex, variables: Sequence[GeneratorId], g: Sequence[Sequence[GrassmannElement]]
+    x: MultiIndex, variables: Sequence[GeneratorId], g: Sequence[Sequence[GrassmannElement]]
 ) -> list[tuple[int, GrassmannElement, MultiIndex]]:
     """(|P|, sigma g_P, R) for every set P of disjoint index pairs k < j with
-    D_P eta_S = sigma eta_R, where D_P is the product of their d_j d_k and
-    g_P that of their g^{kj}, both nonzero; the empty set first.  Each set is
-    listed once, its pairs by increasing k."""
+    D_P X = sigma X_R, where X is the monomial of key ``x``, D_P is the
+    product of their d_j d_k and g_P that of their g^{kj}, both nonzero; the
+    empty set first.  Each set is listed once, its pairs by increasing k."""
     out = []
 
     def walk(size: int, g_p: GrassmannElement, d_p: GrassmannElement, first: int) -> None:
@@ -415,7 +412,7 @@ def _derivative_pairs(
                 if not (g_kj.is_zero() or ddf.is_zero()):
                     walk(size + 1, g_kj, ddf, k + 1)
 
-    walk(0, ONE, GrassmannElement({s: 1.0}), 0)
+    walk(0, ONE, GrassmannElement({x: 1.0}), 0)
     return out
 
 
@@ -423,18 +420,18 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
     """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis,
     as the ordered product M_1 M_2 ... M_N of one-slice transfer matrices.
 
-    M_r is the matrix of one ``fk_evolve`` slice of width dt_r: the basis
-    goes through ``h``'s one ``_evolution`` on the partition (0, dt_r), once
-    per distinct width, so each column of M_r is that slice's
-    ``fk_evolve`` image bit for bit.  Since ``fk_evolve`` applies slice N
-    first, the product is accumulated from the right, M_r times the product
-    of the later slices, as the evolution applies them to a column.
+    M_r is the matrix of ``h``'s one slice map (``_slice_map``) at width
+    dt_r, built once per distinct width from the basis, so each column of
+    M_r is that slice's ``fk_evolve`` image bit for bit.  Since
+    ``fk_evolve`` applies slice N first, the product is accumulated from the
+    right, M_r times the product of the later slices, as the evolution
+    applies them to a column.
     """
-    evolve = _evolution(h)
+    step = _slice_map(h)
 
     @cache
     def width(dt: float) -> np.ndarray:
-        return operator_matrix(lambda f: evolve(f, Partition((0.0, dt))), h.variables).matrix
+        return operator_matrix(lambda f: step(f, dt), h.variables).matrix
 
     product = width(partition.delta(partition.steps))
     for r in range(partition.steps - 1, 0, -1):

@@ -267,6 +267,37 @@ def test_out_of_range_hamiltonian_option_exits_2_and_names_the_option(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("via_config", (False, True), ids=("flag", "config"))
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize(
+    "command, option",
+    (
+        (["converge", "--quantity", "ou_xx"], "r"),
+        (["converge", "--quantity", "quartic_xx"], "c"),
+        (["converge", "--quantity", "quartic_xx"], "b"),
+        (["kernel", "flat_potential"], "lam"),
+    ),
+    ids=("converge-ou-r", "converge-quartic-c", "converge-quartic-b", "kernel-flat_potential-lam"),
+)
+def test_non_finite_hamiltonian_option_exits_2_and_names_the_option(
+    tmp_path, capsys, command, option, value, via_config
+):
+    # A NaN coefficient fails the prune test and is dropped, so these inputs
+    # would otherwise print a plausible number and exit 0.
+    if via_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option: float(value), "n": "2,4"}))  # NaN and Infinity literals
+        argv = command + ["--config", str(config)]
+    else:
+        argv = command + ["--n", "2,4", f"--{option}={value}"]  # "--b -inf" would read -inf as a flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --{option}: the value must be a finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["moments", "--m", "10"])

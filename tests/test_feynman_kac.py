@@ -316,7 +316,8 @@ def test_wide_noise_matches_the_forward_route(n, m):
 
 def test_a_parameter_before_the_state_variables_keeps_its_sign():
     # The state variables are set 1, so the set-0 parameter η[1] precedes
-    # them: the slice step splits η[1]·y1 as -y1·η[1] before it maps y1.
+    # them: the slice map keeps η[1] in place and signs each derivative's
+    # move past it.
     y1, y2 = gen(KV[0]), gen(KV[1])
     identity = ((scalar(1.0), ZERO), (ZERO, scalar(1.0)))
     h = HamiltonianSpec(2, 2, 0.3 - y1 * y2, (-0.8j * y1, -0.4j * y2), identity, KV)
@@ -325,6 +326,41 @@ def test_a_parameter_before_the_state_variables_keeps_its_sign():
         got = fk_evolve(h, f, partition)
         assert abs(got.coefficient((SV[0], KV[0]))) > 0.1
         assert (got - fk_bruteforce(h, f, partition)).norm() <= 1e-12
+
+
+PARAMETERS = ((aux(1),), (aux(1), aux(2)), (eta(1, 1),), (eta(2, 1), aux(3)))
+PARTITIONS = (Partition.uniform(1.0, 4), Partition((0.0, 0.15, 0.45, 1.0)))
+
+
+def _rides_along(h, f, theta):
+    """Assert that a parameter monomial ``theta`` on either side of ``f``
+    passes through ``fk_evolve`` exactly, on each of ``PARTITIONS``."""
+    theta = monomial(theta)
+    for partition in PARTITIONS:
+        image = fk_evolve(h, f, partition)
+        assert fk_evolve(h, f * theta, partition) == image * theta, partition
+        assert fk_evolve(h, theta * f, partition) == theta * image, partition
+
+
+@pytest.mark.parametrize("theta", PARAMETERS, ids=("aux1", "aux1_aux2", "eta1_set1", "eta2_set1_aux3"))
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("random",))
+def test_a_parameter_rides_along_exactly(name, theta):
+    # The slice map never maps or differentiates a parameter, and its
+    # derivative pairs and g_P are even, so Phi(theta X) = theta Phi(X).
+    h = _wide_hamiltonian(4, 4, seed=44) if name == "random" else example_hamiltonian(name, lam=0.7)
+    f = sum(((1 + 0.5j) ** k * b for k, b in enumerate(basis_elements(h.variables))), start=ZERO)
+    _rides_along(h, f, theta)
+
+
+@pytest.mark.parametrize("theta", ((eta(1),), (eta(1), eta(2))), ids=("eta1", "eta1_eta2"))
+def test_a_parameter_before_the_state_variables_rides_along_exactly(theta):
+    # Set-0 parameters precede the set-1 state variables in canonical order,
+    # so every derivative moves past them.
+    y1, y2 = gen(KV[0]), gen(KV[1])
+    identity = ((scalar(1.0), ZERO), (ZERO, scalar(1.0)))
+    h = HamiltonianSpec(2, 2, 0.3 - y1 * y2, (-0.8j * y1, -0.4j * y2), identity, KV)
+    f = sum(((1 + 0.5j) ** k * b for k, b in enumerate(basis_elements(KV))), start=ZERO)
+    _rides_along(h, f, theta)
 
 
 def _random_element(rng, pool, parity, scale):
