@@ -110,6 +110,7 @@ COMPONENT_CAP = 8  # components per block: one byte of the multi-index
 VARIABLE_SETS = 4  # variable sets, which fill the low bytes
 AUXILIARY_SETS = 16  # auxiliary sets, in the bytes after the variable sets
 _FIXED_SETS = VARIABLE_SETS + AUXILIARY_SETS  # the bytes below increment slice 0
+_INCREMENT_SHIFT = COMPONENT_CAP * _FIXED_SETS  # the first bit of increment slice 0
 
 # Coefficients below this magnitude are dropped after every operation,
 # which keeps long operator products sparse.
@@ -121,7 +122,7 @@ def _block_shift(family: int, slice_index: int) -> int:
     if slice_index < 0:
         raise ValueError(f"slice must be >= 0, got {slice_index}")
     if family == Family.INCREMENT:
-        return COMPONENT_CAP * (_FIXED_SETS + slice_index)
+        return _INCREMENT_SHIFT + COMPONENT_CAP * slice_index
     if family == Family.VARIABLE:
         name, first, sets = "variable", 0, VARIABLE_SETS
     elif family == Family.AUXILIARY:
@@ -160,6 +161,15 @@ def _block_masks(mi: MultiIndex) -> tuple[tuple[Block, int], ...]:
     out += [((Family.AUXILIARY, s), mask) for s, mask in enumerate(raw[VARIABLE_SETS:_FIXED_SETS]) if mask]
     out += [((Family.INCREMENT, s), mask) for s, mask in enumerate(raw[_FIXED_SETS:]) if mask]
     return tuple(out)
+
+
+def _increment_blocks(mi: MultiIndex) -> list[tuple[int, int]]:
+    """(slice, component mask) of each increment slice a multi-index
+    touches, in slice order, as ``_block_masks`` gives them: the nonzero
+    bytes of its increment bits."""
+    increments = mi >> _INCREMENT_SHIFT
+    raw = increments.to_bytes((increments.bit_length() + 7) // 8, "little")
+    return [(s, mask) for s, mask in enumerate(raw) if mask]
 
 
 def index_generators(mi: MultiIndex) -> tuple[GeneratorId, ...]:
@@ -203,6 +213,53 @@ def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) 
         above = _above(ka)
         plus, minus = 1 * ca, -1 * ca
         for kb, cb in right.items():
+            if not ka & kb:
+                mi = ka | kb
+                data[mi] = get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb
+    return data
+
+
+def _paired_product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
+    """The terms of ``_product(left, right)`` whose increment bits are unions
+    of whole component pairs (1,2), (3,4), ...: the only terms a Wiener
+    expectation keeps (Wick's pairing rule, slice by slice).
+
+    A key's single bits are its increment bits whose pair partner it lacks.
+    Two disjoint keys merge to a whole-paired key exactly when the right
+    key's single bits are the left key's with the two bits of every pair
+    swapped.  So the right terms are bucketed by their single bits, in
+    order, and each left term meets only the bucket of its swapped single
+    bits, with ``_product``'s collision test, sign and sums.  Every kept key
+    gets the same addends in the same order, so its value and its place
+    among the kept keys are ``_product``'s bit for bit.  Variable and
+    auxiliary bits lie below the increments and ride along.
+    """
+    shift = _INCREMENT_SHIFT
+    width = ((reduce(or_, left, 0) | reduce(or_, right, 0)) >> shift).bit_length()
+    low = ((1 << (width + 1 & ~1)) - 1) // 3  # the low bit of every pair: 0b0101...01
+
+    buckets: dict[int, list[tuple[MultiIndex, complex]]] = {}
+    for kb, cb in right.items():
+        i = kb >> shift
+        d = (i ^ i >> 1) & low
+        single = i & (d | d << 1)
+        bucket = buckets.get(single)
+        if bucket is None:
+            bucket = buckets[single] = []
+        bucket.append((kb, cb))
+
+    data: dict[MultiIndex, complex] = {}
+    get = data.get
+    for ka, ca in left.items():
+        i = ka >> shift
+        d = (i ^ i >> 1) & low
+        single = i & (d | d << 1)
+        bucket = buckets.get((single & low) << 1 | (single >> 1) & low)
+        if bucket is None:
+            continue
+        above = _above(ka)
+        plus, minus = 1 * ca, -1 * ca
+        for kb, cb in bucket:
             if not ka & kb:
                 mi = ka | kb
                 data[mi] = get(mi, 0j) + (minus if (above & kb).bit_count() & 1 else plus) * cb

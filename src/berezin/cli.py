@@ -158,8 +158,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     t = params.pop("t")
 
     h = example_hamiltonian(name, **params)
+    try:
+        oracle = oracle_kernel(h, t)
+    except ValueError as exc:  # -tH too large for the operator exponential
+        options = ", ".join(f"--{key}" for key in PARAMS if key != "t")
+        raise ParameterError("t", f"{exc}: lower --t or the Hamiltonian options ({options})") from None
     closed = closed_form_kernel(name, t, **params)
-    oracle = oracle_kernel(h, t)
     fk_kernels = [kernel_extract(fk_operator(h, Partition.uniform(t, n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]

@@ -275,9 +275,14 @@ def hamiltonian_matrix(h: HamiltonianSpec) -> OperatorMatrix:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a truncated series on the scaled matrix."""
+    """Scaling-and-squaring with a truncated series on the scaled matrix.
+    A ValueError refuses a one-norm that is not finite or is too large for
+    the scaling 2**squarings to be a float (2**1022 and above)."""
     dim = a.shape[0]
-    one_norm = float(np.abs(a).sum(axis=0).max()) if dim else 0.0
+    with np.errstate(over="ignore"):  # a column sum past the largest float is refused below
+        one_norm = float(np.abs(a).sum(axis=0).max()) if dim else 0.0
+    if not one_norm < 2.0**1022:
+        raise ValueError(f"the matrix exponential needs a one-norm below 2**1022, got {one_norm}")
     squarings = 0
     if one_norm > 0.5:
         squarings = int(np.ceil(np.log2(one_norm / 0.5)))
@@ -443,17 +448,28 @@ def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition)
     """The same expectation on the forward route (small grids only): ``solve_sde``
     of ``sde_spec(h, x)`` from the symbolic start x, times the left-endpoint
     weight prod_r exp(-dt_r v(zeta_{r-1})), with every slice integrated at once."""
+    return _bruteforce_map(h, partition)(f)
+
+
+def _bruteforce_map(h: HamiltonianSpec, partition: Partition) -> Callable[[GrassmannElement], GrassmannElement]:
+    """``fk_bruteforce(h, ., partition)`` as a map of f: the SDE is solved and
+    the weight built once, and shared by every input the map takes."""
     if partition.steps > JOINT_CAP:
         raise ValueError(f"brute-force mode caps at {JOINT_CAP} slices, got {partition.steps}")
-    _reject_increments("fk_bruteforce's input", f)
     space = WienerSpace(h.m)
     nodes = solve_sde(sde_spec(h, [gen(v) for v in h.variables]), space, partition).values
     weight = ONE
     for r in range(1, partition.steps + 1):
         here = dict(zip(h.variables, nodes[r - 1]))
         weight = weight * grassmann_exp(-partition.delta(r) * substitute(h.potential, here))
-    functional = weight * substitute(f, dict(zip(h.variables, nodes[-1])))
-    return BrownianMotion(space, partition).expect_element(functional)
+    final = dict(zip(h.variables, nodes[-1]))
+    motion = BrownianMotion(space, partition)
+
+    def expectation(f: GrassmannElement) -> GrassmannElement:
+        _reject_increments("fk_bruteforce's input", f)
+        return motion.expect_product(weight, substitute(f, final))
+
+    return expectation
 
 
 # -- kernels ------------------------------------------------------------

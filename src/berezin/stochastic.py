@@ -30,6 +30,7 @@ from .algebra import (
     _add_into,
     _image_bits,
     _odd_images,
+    _paired_product,
     _substitute_odd,
 )
 from .calculus import SupersmoothFunction
@@ -193,7 +194,7 @@ def isometry_residual(c: AdaptedMatrix, i: int, j: int) -> float:
     sign = -1.0 if z_i.parity() is Parity.ODD else 1.0
 
     motion = BrownianMotion(space, partition)
-    lhs = motion.expect_element(z_i * z_j)
+    lhs = motion.expect_product(z_i, z_j)
     rhs: dict[MultiIndex, complex] = {}
     for r in range(1, partition.steps + 1):
         prev = c.values[r - 1]
@@ -511,7 +512,9 @@ def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
     increments against first derivatives of F plus the slice-width-weighted
     quadratic correction (1/2) sign_i e^{ab} C_{i,b} C_{j,a} d_j d_i F, all
     evaluated at the slice's left endpoint.  The gap vanishes linearly with
-    the mesh.
+    the mesh.  The increment terms are formed by ``_paired_product``, which
+    keeps exactly the terms the expectation keeps, so the gap is the one of
+    the full expansion bit for bit.
     """
     k = x.dimension
     if f.even_count != x.even_count or f.even_count + f.odd_count != k:
@@ -538,7 +541,8 @@ def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
             if df.is_zero():
                 continue
             dx = dt * x.drift[r - 1][i] + space.noise(increments, x.diffusion[r - 1][i])
-            _add_into(rhs, (dx * df)._terms)
+            # only the product terms whose increments pair up survive the expectation
+            _add_into(rhs, GrassmannElement._adopt(_paired_product(dx._terms, df._terms))._terms)
         for i in range(k):
             for j in range(k):
                 ddf = second[i][j]._evaluate(evens, odds)  # d_j d_i F, the d_i acting first

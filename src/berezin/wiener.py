@@ -23,9 +23,12 @@ touches, last slice first, multiplying in one pairing coefficient per
 slice, and is dropped as soon as a slice's pattern has no pairing or its
 coefficient falls below the prune threshold.  The survivors are summed in
 term order and pruned once, which is bit for bit the sum of integrating
-each term alone, slice by slice.  A joint mode that forms the density
-products and keeps all slices live backs it as an internal oracle for
-small grids.
+each term alone, slice by slice.  The expectation of a product,
+``BrownianMotion.expect_product``, builds only the product terms whose
+increments pair up whole (``algebra._paired_product``), the only ones the
+pass keeps, so the others are never formed.  A joint mode that forms the
+density products and keeps all slices live backs it as an internal oracle
+for small grids.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ import numpy as np
 
 from .algebra import (
     COMPONENT_CAP,
-    Family,
     GeneratorId,
     GrassmannElement,
     MultiIndex,
     ONE,
     PRUNE,
     _add_into,
+    _increment_blocks,
+    _paired_product,
     gen,
     increment,
     multi_index,
@@ -362,7 +366,8 @@ class BrownianMotion:
     dropped.  The slice that holds a term's highest remaining bit is looked
     up by that bit's length, under which each of the slice's generator bits
     files the slice.  That equals integrating each term alone with
-    ``_integrate_slice`` and summing, bit for bit.
+    ``_integrate_slice`` and summing, bit for bit.  ``expect_product``
+    feeds the pass only the terms of a product it keeps.
     """
 
     def __init__(self, space: WienerSpace, partition: Partition):
@@ -394,7 +399,8 @@ class BrownianMotion:
 
         Free generators of other families survive as parameters, in which
         case the result is returned as an element rather than a complex
-        number.  Increment generators must belong to declared slices.
+        number.  Increment generators must belong to declared slices and be
+        components 1..m of the space; a ValueError refuses any other.
         """
         value = self._expect_sequential(functional)
         return value.scalar_value() if value.is_scalar() else value
@@ -402,12 +408,28 @@ class BrownianMotion:
     def expect_element(self, functional: GrassmannElement) -> GrassmannElement:
         return self._expect_sequential(functional)
 
-    def _check_slices(self, functional: GrassmannElement) -> set[int]:
-        """The increment slices the functional references, all declared."""
-        slices = {s for family, s in functional.blocks() if family == int(Family.INCREMENT)}
-        for slice_index in slices:
+    def expect_product(self, a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+        """``expect_element(a * b)`` bit for bit, from only the terms of the
+        product that the expectation keeps (``algebra._paired_product``).
+
+        Both factors are held to ``expect``'s rule on increment generators,
+        even a term whose every product with the other factor vanishes.
+        """
+        self._check_slices(a._union() | b._union())
+        return self.expect_element(GrassmannElement._adopt(_paired_product(a._terms, b._terms)))
+
+    def _check_slices(self, union: MultiIndex) -> list[int]:
+        """The increment slices of the multi-index ``union``, all declared
+        and holding only the space's m components."""
+        slices = []
+        for slice_index, components in _increment_blocks(union):
             if not 1 <= slice_index <= self.partition.steps:
                 raise ValueError(f"functional references undeclared slice {slice_index}")
+            if components >> self.space.m:
+                raise ValueError(
+                    f"functional references an increment component above m = {self.space.m} on slice {slice_index}"
+                )
+            slices.append(slice_index)
         return slices
 
     def _density(self, r: int) -> SliceDensity:
@@ -429,7 +451,7 @@ class BrownianMotion:
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:
         """The one pass of the class docstring; pruned once, at the end."""
         slice_bits = 0
-        for r in self._check_slices(functional):
+        for r in self._check_slices(functional._union()):
             slice_bits |= self._density(r).bits
         # A key's length is that of its highest bit, which lies in its last
         # slice: increment bits follow the canonical order.
@@ -454,7 +476,7 @@ class BrownianMotion:
 
     def _expect_joint(self, functional: GrassmannElement) -> GrassmannElement:
         """All slices live at once: the oracle of the sequential engine."""
-        self._check_slices(functional)
+        self._check_slices(functional._union())
         n = self.partition.steps
         if n > JOINT_CAP:
             raise ValueError(f"joint mode caps at {JOINT_CAP} slices, got {n}")

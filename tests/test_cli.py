@@ -298,6 +298,26 @@ def test_non_finite_hamiltonian_option_exits_2_and_names_the_option(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["kernel", "flat_potential", "--lam", "1e308", "--n", "2"],
+        ["kernel", "flat_potential", "--lam=-1e308", "--n", "2"],
+        ["kernel", "oscillator", "--t", "1e308", "--n", "2"],
+    ),
+    ids=("lam", "negative-lam", "t"),
+)
+def test_kernel_past_the_operator_exponential_exits_2_and_names_the_options(capsys, argv):
+    # -tH had a one-norm whose squaring count overflowed: an OverflowError traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --t: the matrix exponential needs a one-norm below 2**1022" in captured.err
+    assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
+    assert captured.out == ""
+
+
 def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["moments", "--m", "10"])

@@ -116,6 +116,17 @@ def test_oracle_at_time_zero_is_the_identity():
         semigroup_oracle(op, -0.1)
 
 
+@pytest.mark.parametrize("scale", (np.inf, np.nan, 1e308, 2.0**1022))
+def test_the_oracle_refuses_a_norm_its_scaling_cannot_take(scale):
+    # log2 of the one-norm over 0.5 sets the squaring count; from 2**1022 on
+    # 2**squarings is no float (and at 1e308 the quotient itself overflowed).
+    with pytest.raises(ValueError, match="one-norm below 2\\*\\*1022"):
+        feynman_kac._expm(np.array([[scale, 0.0], [0.0, 1.0]], dtype=complex))
+    # a finite -tH whose column sums overflow is refused too, without a warning
+    with pytest.raises(ValueError, match="one-norm below 2\\*\\*1022, got inf"):
+        semigroup_oracle(hamiltonian_matrix(example_hamiltonian("flat_potential", lam=1.0)), 1e308)
+
+
 def test_flat_oracle_is_exactly_linear_in_time():
     op = hamiltonian_matrix(example_hamiltonian("flat"))
     assert np.abs(op.matrix @ op.matrix).max() == 0.0  # nilpotent of order two
