@@ -295,6 +295,27 @@ def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, comple
             del data[key]
 
 
+def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
+    """``(x - y).norm()`` bit for bit, without building -y, the copy of x or
+    the sum: the magnitudes are summed in the order of that sum's keys, x's
+    keys first, each with its difference unless the prune drops it, then
+    the keys only in y, in y's order."""
+    left, right = x._terms, y._terms
+
+    def magnitudes() -> Iterator[float]:
+        for key, c in left.items():
+            d = right.get(key)
+            if d is None:
+                yield abs(c)
+            elif (m := abs(c + -d)) >= PRUNE:
+                yield m
+        for key, d in right.items():
+            if key not in left and (m := abs(0j + -d)) >= PRUNE:
+                yield m
+
+    return sum(magnitudes())
+
+
 class GrassmannElement:
     """An immutable sparse element of the Grassmann algebra.
 
@@ -604,21 +625,47 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
     and each generator's image; a term with no mapped generator is kept as
     it is, which is that product up to the signs of zero parts.  The terms
     are summed in order by ``_add_into``, as ``ZERO + t1 + t2 + ...`` sums them.
+
+    Two kinds of term go straight into the sum: a term with no mapped
+    generator, and a term c X_b whose key is one mapped bit b.  The latter
+    adds, for each term v of b's image, the value ``0j + (1 * c) * v`` that
+    ``c * image`` gives it, unless the product's prune would drop it; its
+    keys are the image's, so each is added and pruned once, as
+    ``_add_into`` adds and prunes it.
     """
     mapped = reduce(or_, images, 0)
     data: dict[MultiIndex, complex] = {}
+    get = data.get
     for mi, coeff in a.items():
         if not mi & mapped:
-            terms = {mi: coeff}
-        else:
-            term = GrassmannElement.from_scalar(coeff)
-            for bit in _canonical_bits(mi):
-                factor = images.get(bit)
-                term = term * (GrassmannElement._wrap({bit: 1 + 0j}) if factor is None else factor)
-                if term.is_zero():
-                    break
-            terms = term._terms
-        _add_into(data, terms)
+            value = get(mi, 0j) + coeff
+            if abs(value) >= PRUNE:
+                data[mi] = value
+            else:
+                data.pop(mi, None)
+            continue
+        image = images.get(mi)
+        if image is not None:
+            plus = 1 * coeff
+            for key, v in image._terms.items():
+                value = 0j + plus * v
+                if not abs(value) >= PRUNE:
+                    continue
+                old = get(key)
+                if old is None:
+                    data[key] = value  # 0j + value, as the sum adds it to an absent key
+                elif abs(value := old + value) >= PRUNE:
+                    data[key] = value
+                else:
+                    del data[key]
+            continue
+        term = GrassmannElement.from_scalar(coeff)
+        for bit in _canonical_bits(mi):
+            factor = images.get(bit)
+            term = term * (GrassmannElement._wrap({bit: 1 + 0j}) if factor is None else factor)
+            if term.is_zero():
+                break
+        _add_into(data, term._terms)
     return GrassmannElement._wrap(data)
 
 

@@ -277,25 +277,29 @@ def hamiltonian_matrix(h: HamiltonianSpec) -> OperatorMatrix:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring with a truncated series on the scaled matrix.
     A ValueError refuses a one-norm that is not finite or is too large for
-    the scaling 2**squarings to be a float (2**1022 and above)."""
+    the scaling 2**squarings to be a float (2**1022 and above), and a
+    result that overflows: the work runs with floating-point warnings off,
+    and only a finite result is returned."""
     dim = a.shape[0]
-    with np.errstate(over="ignore"):  # a column sum past the largest float is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         one_norm = float(np.abs(a).sum(axis=0).max()) if dim else 0.0
-    if not one_norm < 2.0**1022:
-        raise ValueError(f"the matrix exponential needs a one-norm below 2**1022, got {one_norm}")
-    squarings = 0
-    if one_norm > 0.5:
-        squarings = int(np.ceil(np.log2(one_norm / 0.5)))
-    scaled = a / (2.0**squarings)
-    out = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 64):
-        term = term @ scaled / k
-        out = out + term
-        if np.abs(term).sum() <= 1e-18 * max(1.0, np.abs(out).sum()):
-            break
-    for _ in range(squarings):
-        out = out @ out
+        if not one_norm < 2.0**1022:
+            raise ValueError(f"the matrix exponential needs a one-norm below 2**1022, got {one_norm}")
+        squarings = 0
+        if one_norm > 0.5:
+            squarings = int(np.ceil(np.log2(one_norm / 0.5)))
+        scaled = a / (2.0**squarings)
+        out = np.eye(dim, dtype=complex)
+        term = np.eye(dim, dtype=complex)
+        for k in range(1, 64):
+            term = term @ scaled / k
+            out = out + term
+            if np.abs(term).sum() <= 1e-18 * max(1.0, np.abs(out).sum()):
+                break
+        for _ in range(squarings):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise ValueError(f"the matrix exponential of a matrix with one-norm {one_norm} overflows")
     return out
 
 
@@ -340,11 +344,21 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     vanish; first-order accurate in the mesh otherwise.  ``f`` must not
     hold increment generators.
     """
-    _reject_increments("fk_evolve's input", f)
+    return _evolve_map(h, partition)(f)
+
+
+def _evolve_map(h: HamiltonianSpec, partition: Partition) -> Callable[[GrassmannElement], GrassmannElement]:
+    """``fk_evolve(h, ., partition)`` as a map of f: ``h``'s slice map is built
+    once and shared, with its per-width images, by every input the map takes."""
     step = _slice_map(h)
-    for r in range(partition.steps, 0, -1):
-        f = step(f, partition.delta(r))
-    return f
+
+    def evolve(f: GrassmannElement) -> GrassmannElement:
+        _reject_increments("fk_evolve's input", f)
+        for r in range(partition.steps, 0, -1):
+            f = step(f, partition.delta(r))
+        return f
+
+    return evolve
 
 
 def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], GrassmannElement]:

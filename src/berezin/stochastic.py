@@ -8,18 +8,19 @@ exact finite-grid quantity, and the convergence report is the caller's job
 
 SDEs are solved by ``solve_sde``, one forward Euler sweep: the
 left-endpoint scheme is explicit, so node r follows from node r-1 and the
-sweep is the unique grid solution.  ``picard_solve`` iterates the same
-step map and stays for the checks that are about the iteration itself
-(uniqueness from two seeds, moment-gap diagnostics, stationarity).  The
-step itself, ``_euler_step``, also gives ``feynman_kac.fk_evolve`` the
-noiseless part u = x + dt A(x) of its slice map, whose Gaussian noise it
-integrates out in closed form.
+sweep is the unique grid solution; ``ItoProcess.from_sde`` keeps the
+drift and diffusion values the sweep evaluates.  ``picard_solve``
+iterates the same step map and stays for the checks that are about the
+iteration itself (uniqueness from two seeds, moment-gap diagnostics,
+stationarity).  The step itself, ``_euler_step``, also gives
+``feynman_kac.fk_evolve`` the noiseless part u = x + dt A(x) of its slice
+map, whose Gaussian noise it integrates out in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebra import (
     Family,
@@ -28,6 +29,7 @@ from .algebra import (
     Parity,
     ZERO,
     _add_into,
+    _distance,
     _image_bits,
     _odd_images,
     _paired_product,
@@ -275,15 +277,28 @@ def _euler_step(base: Node, dt: float, drift_vals: Node, noise: Node) -> tuple[G
 
 
 def _euler_node(
-    spec: SdeSpec, space: WienerSpace, partition: Partition, r: int, base: Node, prev: Node
+    space: WienerSpace, partition: Partition, r: int, base: Node, coefficients: tuple[Node, Sequence[Node]]
 ) -> tuple[GrassmannElement, ...]:
-    """Node r of the step map: ``base`` advanced by the step whose
-    coefficients are evaluated at ``prev``.  The sweep passes node r-1
-    twice, a Picard pass its new and its previous iterate."""
-    drift_vals, diffusion_vals = _coefficients_at(spec, prev)
+    """Node r of the step map: ``base`` advanced by the step whose drift and
+    diffusion values ``coefficients`` are evaluated at node r-1.  The sweep
+    passes node r-1 as ``base`` too, a Picard pass its new iterate."""
+    drift_vals, diffusion_vals = coefficients
     increments = space.increment_elements(r)
     noise = tuple(space.noise(increments, row) for row in diffusion_vals)
     return _euler_step(base, partition.delta(r), drift_vals, noise)
+
+
+def _sweep(spec: SdeSpec, space: WienerSpace, partition: Partition) -> Iterator[tuple[Node, tuple[Node, Sequence[Node]]]]:
+    """The forward Euler sweep: node r for r = 1 ... N, each with the drift
+    and diffusion values at node r-1 that its step evaluated.  A caller
+    keeps what it needs; the sweep holds only the current node."""
+    if spec.brownian_dimension != space.m:
+        raise ValueError("diffusion width must match the Brownian dimension")
+    node = tuple(spec.initial)
+    for r in range(1, partition.steps + 1):
+        coefficients = _coefficients_at(spec, node)
+        node = _euler_node(space, partition, r, node, coefficients)
+        yield node, coefficients
 
 
 def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> AdaptedProcess:
@@ -294,11 +309,8 @@ def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> Adapte
     is the exact fixed point of the integral map that ``picard_solve``
     iterates.
     """
-    if spec.brownian_dimension != space.m:
-        raise ValueError("diffusion width must match the Brownian dimension")
     nodes = [tuple(spec.initial)]
-    for r in range(1, partition.steps + 1):
-        nodes.append(_euler_node(spec, space, partition, r, nodes[-1], nodes[-1]))
+    nodes += (node for node, _ in _sweep(spec, space, partition))
     return AdaptedProcess(space, partition, tuple(nodes))
 
 
@@ -344,10 +356,8 @@ def picard_solve(
     for k in range(1, steps + 3):
         nxt: list[tuple[GrassmannElement, ...]] = [tuple(spec.initial)]
         for r in range(1, steps + 1):
-            nxt.append(_euler_node(spec, space, partition, r, nxt[r - 1], current[r - 1]))
-        moved = sum(
-            (x - y).norm() for old, new in zip(current, nxt) for x, y in zip(old, new)
-        )
+            nxt.append(_euler_node(space, partition, r, nxt[r - 1], _coefficients_at(spec, current[r - 1])))
+        moved = sum(_distance(x, y) for old, new in zip(current, nxt) for x, y in zip(old, new))
         differences.append(moved)
         current = nxt
         if compute_mu:
@@ -462,9 +472,22 @@ class ItoProcess:
         )
 
     @classmethod
+    def from_sde(cls, spec: SdeSpec, space: WienerSpace, partition: Partition) -> "ItoProcess":
+        """The process of ``solve_sde(spec, space, partition)`` with the drift
+        and diffusion values its sweep evaluated at nodes 0 ... N-1."""
+        nodes, drift, diffusion = [tuple(spec.initial)], [], []
+        for node, (a, c) in _sweep(spec, space, partition):
+            nodes.append(node)
+            drift.append(a)
+            diffusion.append(c)
+        return cls(space, partition, 0, tuple(nodes), tuple(drift), tuple(diffusion))
+
+    @classmethod
     def from_sde_solution(
         cls, spec: SdeSpec, space: WienerSpace, partition: Partition, solution: AdaptedProcess
     ) -> "ItoProcess":
+        """The process of a given solution of ``spec``, its drift and diffusion
+        evaluated again at nodes 0 ... N-1."""
         drift, diffusion = zip(*(_coefficients_at(spec, solution.values[r]) for r in range(partition.steps)))
         return cls(space, partition, 0, solution.values, drift, diffusion)
 

@@ -41,6 +41,7 @@ from .feynman_kac import (
     basis_elements,
     example_hamiltonian,
     _bruteforce_map,
+    _evolve_map,
     fk_evolve,
     hamiltonian_matrix,
     kernel_variables,
@@ -151,9 +152,8 @@ def random_element(
 ) -> GrassmannElement:
     """Random sparse element; coefficients keep magnitudes well above the
     prune threshold so cancellation tests stay meaningful."""
-    n = len(generators)
-    bits = [multi_index((g,)) for g in generators]
-    multi_index(generators)  # the generators must be distinct
+    bits = _pool_bits(tuple(generators))
+    n = len(bits)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         degree = rng.randint(0, n)
@@ -168,6 +168,13 @@ def random_element(
                         rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))
         terms[key] = coeff
     return GrassmannElement(terms)
+
+
+@cache
+def _pool_bits(generators: tuple[GeneratorId, ...]) -> tuple[int, ...]:
+    """The one-bit multi-index of each generator of a pool, checked distinct once."""
+    multi_index(generators)
+    return tuple(multi_index((g,)) for g in generators)
 
 
 # -- algebra ------------------------------------------------------------
@@ -343,13 +350,11 @@ def wiener_suite(seed: int = 2024) -> list[Check]:
 # -- ito ----------------------------------------------------------------
 
 
-def _random_even_adapted(
-    rng: random.Random, motion: BrownianMotion, r: int
-) -> GrassmannElement:
-    beta = motion.at_node(r)
+def _random_even_adapted(rng: random.Random, area: GrassmannElement, r: int) -> GrassmannElement:
+    """A random even value at node r of a grid whose beta1 * beta2 there is ``area``."""
     out = scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
     if r > 0 and rng.random() < 0.7:
-        out = out + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * (beta[0] * beta[1])
+        out = out + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * area
     return out
 
 
@@ -406,11 +411,13 @@ def ito_suite(seed: int = 2024) -> list[Check]:
             part = Partition(tuple(nodes))
         grid_motion = BrownianMotion(space, part)
         state_dependent = trial % 5 != 0
+        if state_dependent:
+            areas = [beta[0] * beta[1] for beta in map(grid_motion.at_node, range(part.steps + 1))]
         values = []
         for r in range(part.steps + 1):
             if state_dependent:
-                row_i = tuple(_random_even_adapted(rng, grid_motion, r) for _ in range(2))
-                row_j = tuple(_random_even_adapted(rng, grid_motion, r) for _ in range(2))
+                row_i = tuple(_random_even_adapted(rng, areas[r], r) for _ in range(2))
+                row_j = tuple(_random_even_adapted(rng, areas[r], r) for _ in range(2))
             else:
                 row_i = tuple(scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(2))
                 row_j = tuple(scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(2))
@@ -469,6 +476,7 @@ def sde_suite() -> list[Check]:
         # one Picard pass from the sweep solution must not move it at all
         again = picard_solve(zero_start, space, partition, initial_guess=solution.values)
         final_moves.append(again.differences[0])
+    del solution, again  # the 64-slice processes, which nothing below needs
     limit = 0.5 * (1 - np.exp(-2.0))
     errors = [abs(v - limit) for v in values]
     checks.append(Check("OU moment first-order refinement", ratio_deviation(errors, grids), RATIO_SLACK))
@@ -499,8 +507,7 @@ def sde_suite() -> list[Check]:
     grids = (8, 16, 32)
     for steps in grids:
         part = Partition.uniform(1.0, steps)
-        solution = solve_sde(spec, space, part)
-        ou_proc = ItoProcess.from_sde_solution(spec, space, part, solution)
+        ou_proc = ItoProcess.from_sde(spec, space, part)
         deterministic = ItoProcess.deterministic(
             space, part, lambda t: np.exp(rate * t), lambda t: rate * np.exp(rate * t)
         )
@@ -631,9 +638,9 @@ def feynman_kac_suite() -> list[Check]:
         h = example_hamiltonian(name, lam=0.7)
         for steps in (1, 2, 4):
             part = Partition.uniform(1.0, steps)
-            bruteforce = _bruteforce_map(h, part)
+            evolve, bruteforce = _evolve_map(h, part), _bruteforce_map(h, part)
             for f in basis:
-                engines = max(engines, (fk_evolve(h, f, part) - bruteforce(f)).norm())
+                engines = max(engines, (evolve(f) - bruteforce(f)).norm())
     checks.append(Check("transfer-operator engine equals the joint engine", engines, IDENTITY))
 
     semigroup = 0.0

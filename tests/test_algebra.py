@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from berezin.algebra import (
     scalar,
     substitute,
     _add_into,
+    _canonical_bits,
+    _distance,
+    _image_bits,
+    _substitute_odd,
 )
 from berezin.verify import random_element
 
@@ -551,3 +556,98 @@ def test_substitution_prunes_after_each_term_as_a_chain_of_sums():
     a = GrassmannElement({e1: 2e-14, e2: -1.5e-14, theta: 1.2e-14})
     got = substitute(a, {eta(1): gen(aux(1)), eta(2): gen(aux(1))})
     assert repr(list(got.items())) == repr([(theta, 1.2e-14 + 0j)])
+
+
+def _substitute_chain(a: GrassmannElement, images: dict) -> GrassmannElement:
+    """``_substitute_odd`` by the product chain alone: every term with a mapped
+    generator is the product of its coefficient and each generator's image
+    (or the generator) in bit order, every other term is kept as it is, and
+    ``_add_into`` sums them in order."""
+    mapped = reduce(operator.or_, images, 0)
+    data: dict = {}
+    for mi, coeff in a.items():
+        if not mi & mapped:
+            terms = {mi: coeff}
+        else:
+            term = scalar(coeff)
+            for bit in _canonical_bits(mi):
+                factor = images.get(bit)
+                term = term * (GrassmannElement({bit: 1.0}) if factor is None else factor)
+                if term.is_zero():
+                    break
+            terms = dict(term.items())
+        _add_into(data, terms)
+    return GrassmannElement._wrap(data)
+
+
+@st.composite
+def substitution_cases(draw):
+    """An element and odd images of some of its generators.  Some terms of
+    the element sit on keys a one-generator term's image also reaches, with
+    a value that cancels the image term's to within about 1e-14, before or
+    after it; the images may be empty or hold terms that scale below the
+    prune threshold."""
+    images = draw(st.dictionaries(st.sampled_from(MIXED_POOL), ODD_IMAGES, max_size=4))
+    mapped = reduce(operator.or_, map(multi_index, ([g] for g in images)), 0)
+    terms = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=6))
+    scales = st.sampled_from((1.0, -1.0, 1e-13, 3e-14, 1e14))
+    for g, image in images.items():
+        c = draw(NEAR_PRUNE) * draw(scales)
+        if abs(c) < PRUNE:
+            continue
+        one = {multi_index([g]): c}
+        for key, v in image.items():
+            if not key & mapped and draw(st.booleans()):
+                one[key] = -(0j + (1 * c) * v) + draw(NEAR_PRUNE)
+        items = list(terms.items()) + list(one.items())
+        terms = dict(draw(st.permutations(items)))
+    return GrassmannElement(terms), images
+
+
+@settings(LAWS, max_examples=200)
+@given(substitution_cases())
+def test_one_generator_and_unmapped_terms_sum_as_the_product_chain(case):
+    a, images = case
+    bits = _image_bits(images.items())
+    got, want = _substitute_odd(a, bits), _substitute_chain(a, bits)
+    assert repr(list(got.items())) == repr(list(want.items()))  # key order and signs of zero too
+
+
+def test_one_generator_terms_keep_the_chain_rounding_on_hand_picked_cases():
+    e1, e2, theta, phi = (multi_index([g]) for g in (eta(1), eta(2), aux(1), aux(2)))
+    cases = [
+        # an image term that scales below the prune on a key the sum holds: dropped before the sum
+        (GrassmannElement({theta: 1.0, e1: 1e-3}), {e1: GrassmannElement({theta: 1e-12})}),
+        # an image part of -0.0 on a new key: the sum makes it 0.0
+        (GrassmannElement({e1: 1.0}), {e1: GrassmannElement({theta: complex(-1.0, -0.0)})}),
+        # a sum that cancels below the prune, then a term that adds the key again
+        (
+            GrassmannElement({theta: 0.5 + 0.25j, e1: -1.0, e2: 2.0}),
+            {e1: GrassmannElement({theta: 0.5 + 0.25j}), e2: GrassmannElement({theta: 1e-3, phi: 1.0})},
+        ),
+        # an empty image, a mapped-plus-unmapped key and a parameter
+        (GrassmannElement({e1: 1.0, e2 | theta: 2.0, phi: 3.0}), {e1: ZERO, e2: GrassmannElement({phi: 1.0})}),
+    ]
+    for a, images in cases:
+        got, want = _substitute_odd(a, images), _substitute_chain(a, images)
+        assert repr(list(got.items())) == repr(list(want.items()))
+    assert repr(list(_substitute_odd(*cases[1]).items())) == repr([(theta, complex(-1.0, 0.0))])
+
+
+@LAWS
+@given(near_cancelling_operands())
+def test_distance_is_the_norm_of_the_difference(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a), (a, ZERO), (ZERO, b), (a, a)):
+        assert repr(_distance(x, y)) == repr((x - y).norm())
+
+
+def test_distance_sums_in_the_order_of_the_difference_keys():
+    # 2 + 1 + 3 + 9e-14 + 9e-14 rounds to 6.000000000000179, the reverse
+    # order of the y-only keys to 6.00000000000018; the shared key cancels
+    # below the prune and adds nothing.
+    keys = [multi_index([g]) for g in MIXED_POOL]
+    x = GrassmannElement({keys[0]: 2.0, keys[1]: 0.7})
+    y = GrassmannElement({keys[1]: 0.7 - 1e-15, keys[2]: 1.0, keys[3]: 3.0, keys[4]: 9e-14, keys[5]: 9e-14})
+    assert repr(_distance(x, y)) == repr((x - y).norm())
+    assert repr(_distance(y, x)) == repr((y - x).norm())

@@ -318,6 +318,28 @@ def test_kernel_past_the_operator_exponential_exits_2_and_names_the_options(caps
     assert captured.out == ""
 
 
+def test_kernel_whose_exponential_overflows_exits_2_and_names_the_options(capsys):
+    # e^800 overflowed both kernels to inf; their NaN differences fell to the
+    # prune, and "fk kernel within first-order error of the oracle" passed at 0.0.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "flat_potential", "--lam=-800", "--n", "2"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --t: the matrix exponential of a matrix with one-norm 801.0 overflows" in captured.err
+    assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
+    assert captured.out == ""
+
+
+def test_kernel_just_below_the_overflow_reports_finite_numbers(capsys):
+    def refuse(constant):
+        raise AssertionError(f"non-finite literal {constant} in the report")
+
+    code = main(["kernel", "flat_potential", "--lam=-700", "--n", "2", "--format", "json"])
+    assert code in (0, 1)
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert all(np.isfinite(report["max_abs_error"]["fk_vs_oracle"]))
+
+
 def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["moments", "--m", "10"])

@@ -127,6 +127,14 @@ def test_the_oracle_refuses_a_norm_its_scaling_cannot_take(scale):
         semigroup_oracle(hamiltonian_matrix(example_hamiltonian("flat_potential", lam=1.0)), 1e308)
 
 
+def test_the_oracle_refuses_an_exponential_that_overflows():
+    # e^800 overflows a float; the work runs without a warning, which the
+    # test settings would turn into an error
+    with pytest.raises(ValueError, match="one-norm 800.0 overflows"):
+        feynman_kac._expm(np.array([[800.0, 0.0], [0.0, 1.0]], dtype=complex))
+    assert feynman_kac._expm(np.array([[700.0, 0.0], [0.0, 1.0]], dtype=complex))[0, 0] == pytest.approx(np.exp(700.0))
+
+
 def test_flat_oracle_is_exactly_linear_in_time():
     op = hamiltonian_matrix(example_hamiltonian("flat"))
     assert np.abs(op.matrix @ op.matrix).max() == 0.0  # nilpotent of order two
@@ -255,6 +263,22 @@ def test_bruteforce_agrees_with_the_transfer_engine_on_repeating_widths():
         for f in basis_elements(h.variables):
             gap = (fk_evolve(h, f, partition) - fk_bruteforce(h, f, partition)).norm()
             assert gap <= 1e-12, (name, f)
+
+
+def test_one_evolution_map_serves_every_input_as_fk_evolve_does():
+    # The map shares its slice map and per-width images among its inputs, in
+    # whatever order they come; each image is still fk_evolve's bit for bit.
+    partition = Partition((0.0, 0.2, 0.5, 0.7, 1.0, 1.2))
+    theta = gen(aux(1))
+    for name in EXAMPLE_NAMES:
+        h = example_hamiltonian(name, lam=0.7)
+        inputs = basis_elements(h.variables)
+        inputs = inputs[::-1] + [theta * TOP + 0.5 * X2, (1 - 2j) * X1 + theta] + inputs
+        evolve = feynman_kac._evolve_map(h, partition)
+        for f in inputs:
+            assert repr(list(evolve(f).items())) == repr(list(fk_evolve(h, f, partition).items())), (name, f)
+        with pytest.raises(ValueError, match="increment"):
+            evolve(TOP + gen(increment(1, 1)) * gen(increment(1, 2)))
 
 
 @pytest.mark.parametrize("slice_index", [1, 2])

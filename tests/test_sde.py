@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from berezin.algebra import PRUNE, ZERO, aux, gen, scalar
 from berezin.calculus import SupersmoothFunction
-from berezin.feynman_kac import state_variables
+from berezin.feynman_kac import example_hamiltonian, sde_spec, state_variables
 from berezin.stochastic import (
     AdaptedProcess,
     ItoProcess,
@@ -65,6 +65,24 @@ def test_a_node_that_is_not_odd_is_rejected():
             ou_spec(), SPACE, partition, AdaptedProcess(SPACE, partition, tuple(even_guess))
         )
     assert ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution).values == solution.values
+
+
+@pytest.mark.parametrize("name", ["ou", "quartic"])  # quartic: a state-dependent diffusion
+def test_the_process_of_one_sweep_is_the_process_of_its_solution(name):
+    spec = sde_spec(example_hamiltonian(name), XI)
+    for partition in (Partition.uniform(1.0, 6), Partition((0.0, 0.1, 0.5, 0.6, 1.3))):
+        swept = ItoProcess.from_sde(spec, SPACE, partition)
+        given_solution = ItoProcess.from_sde_solution(spec, SPACE, partition, solve_sde(spec, SPACE, partition))
+        for field in ("values", "drift", "diffusion"):
+            assert _items(getattr(swept, field)) == _items(getattr(given_solution, field)), field
+        assert swept.even_count == given_solution.even_count == 0
+
+
+def _items(nested) -> str:
+    """The repr of every element's terms in a nested tuple, key order and signs of zero included."""
+    if isinstance(nested, tuple):
+        return "(" + ", ".join(map(_items, nested)) + ")"
+    return repr(list(nested.items()))
 
 
 def test_zero_drift_solution_is_start_plus_path():

@@ -32,6 +32,13 @@ def test_full_run_aggregates_every_suite(suite_checks):
     assert rows(run_suite("all")) == separate
 
 
+def test_a_second_run_in_one_process_repeats_every_check():
+    # The suites share cached tables (the pool bits of random_element, the
+    # slice maps of each fk map) only within what one run builds again.
+    first = run_suite("all", 7)
+    assert repr(run_suite("all", 7)) == repr(first)
+
+
 def test_round_off_of_an_exact_kernel_passes_the_ratio_check():
     # fk-vs-oracle errors of `kernel flat_potential --t 1 --lam 0.7` on 64...1024 slices
     grids = (64, 128, 256, 512, 1024)
