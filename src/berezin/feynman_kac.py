@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -209,14 +210,11 @@ class OperatorMatrix:
     variables: tuple[GeneratorId, ...]
 
     @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        return monomial_basis(len(self.variables))
-
-    @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
 
+@cache
 def monomial_basis(n: int) -> tuple[tuple[int, ...], ...]:
     """Index tuples into n variables, by monomial length, then lexicographically."""
     subsets = [
@@ -226,23 +224,27 @@ def monomial_basis(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(subsets)
 
 
+@cache
+def _basis_keys(variables: tuple[GeneratorId, ...]) -> tuple[tuple[MultiIndex, ...], Mapping[MultiIndex, int]]:
+    """The key of each monomial of ``variables`` in ``monomial_basis`` order,
+    and each key's position: the one rule of which monomial is basis position
+    j, built once per variable set.  A tuple ``multi_index`` refuses raises
+    on every call, since a call that raises is not cached."""
+    keys = tuple(multi_index(variables[i] for i in subset) for subset in monomial_basis(len(variables)))
+    return keys, MappingProxyType({key: pos for pos, key in enumerate(keys)})
+
+
 def basis_elements(variables: Sequence[GeneratorId]) -> list[GrassmannElement]:
     """The monomials of ``variables`` in ``monomial_basis`` order."""
-    return [
-        GrassmannElement.from_monomial(tuple(variables[i] for i in subset))
-        for subset in monomial_basis(len(variables))
-    ]
+    keys, _ = _basis_keys(tuple(variables))
+    return [GrassmannElement({key: 1.0}) for key in keys]
 
 
 def element_coordinates(f: GrassmannElement, variables: Sequence[GeneratorId]) -> np.ndarray:
-    basis = monomial_basis(len(variables))
-    lookup = {
-        multi_index(tuple(variables[i] for i in subset)): pos
-        for pos, subset in enumerate(basis)
-    }
-    vec = np.zeros(len(basis), dtype=complex)
+    _, positions = _basis_keys(tuple(variables))
+    vec = np.zeros(len(positions), dtype=complex)
     for mi, coeff in f.items():
-        pos = lookup.get(mi)
+        pos = positions.get(mi)
         if pos is None:
             raise ValueError("element does not lie in the span of the basis")
         vec[pos] = coeff
@@ -250,12 +252,8 @@ def element_coordinates(f: GrassmannElement, variables: Sequence[GeneratorId]) -
 
 
 def element_from_coordinates(vec: np.ndarray, variables: Sequence[GeneratorId]) -> GrassmannElement:
-    terms = {}
-    for pos, subset in enumerate(monomial_basis(len(variables))):
-        coeff = complex(vec[pos])
-        if coeff != 0:
-            terms[multi_index(tuple(variables[i] for i in subset))] = coeff
-    return GrassmannElement(terms)
+    keys, _ = _basis_keys(tuple(variables))
+    return GrassmannElement({key: c for key, c in zip(keys, map(complex, vec), strict=True) if c != 0})
 
 
 def operator_matrix(
@@ -506,19 +504,17 @@ def kernel_extract(
     in_vars = tuple(in_variables)
     if len(in_vars) != n or set(in_vars) & set(op.variables):
         raise ValueError("integrated variables must be fresh and match the dimension")
+    out_monos = basis_elements(op.variables)
+    in_keys, _ = _basis_keys(in_vars)
+    full = in_keys[-1]
     body: dict[MultiIndex, complex] = {}
-    for col, subset in enumerate(op.basis):
-        complement = tuple(i for i in range(n) if i not in subset)
-        comp_mono = GrassmannElement.from_monomial(tuple(in_vars[i] for i in complement))
-        sub_mono = GrassmannElement.from_monomial(tuple(in_vars[i] for i in subset))
-        sign = (comp_mono * sub_mono).coefficient(in_vars)
-        for row, image_subset in enumerate(op.basis):
+    for col, key in enumerate(in_keys):
+        comp_mono = GrassmannElement({full ^ key: 1.0})
+        sign = (comp_mono * GrassmannElement({key: 1.0}))._terms[full]
+        for row, out_mono in enumerate(out_monos):
             u = complex(op.matrix[row, col])
             if u == 0:
                 continue
-            out_mono = GrassmannElement.from_monomial(
-                tuple(op.variables[i] for i in image_subset)
-            )
             _add_into(body, (out_mono * comp_mono)._terms, u / sign)
     return SupersmoothFunction(GrassmannElement._wrap(body), op.variables + in_vars)
 

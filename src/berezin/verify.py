@@ -125,7 +125,8 @@ def ratio_deviation(errors: Sequence[float], grids: Sequence[float]) -> float:
     """Largest |e_k / e_{k+1} - N_{k+1} / N_k| over successive grids, the
     deviation from first-order refinement; 0 for exact data.  Only an error
     of 0.0 counts as exact: a route that may carry round-off on an exact
-    result sets it to 0.0 first (``drop_round_off``)."""
+    result sets it to 0.0 first (``drop_round_off``).  A NaN or infinite
+    error gives inf, which no slack accepts."""
     if len(errors) != len(grids):
         raise ValueError("need one error per grid")
     worst = 0.0
@@ -134,7 +135,7 @@ def ratio_deviation(errors: Sequence[float], grids: Sequence[float]) -> float:
             worst = max(worst, 0.0 if a == 0.0 else float("inf"))
         else:
             worst = max(worst, abs(a / b - n_b / n_a))
-    return worst
+    return worst if np.isfinite(errors).all() else np.inf
 
 
 def drop_round_off(errors: Sequence[float], slices: int, scale: float) -> list[float]:

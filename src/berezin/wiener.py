@@ -85,19 +85,22 @@ class Partition:
             raise ValueError("a partition needs at least one step")
         if self.nodes[0] != 0.0:
             raise ValueError("partitions start at time 0")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValueError("partition nodes must be strictly increasing")
+        # ``not a < b`` also refuses a NaN node, and after a finite last
+        # node every node is finite.
+        if not np.isfinite(self.nodes[-1]) or any(not a < b for a, b in zip(self.nodes, self.nodes[1:])):
+            raise ValueError("partition nodes must be finite and strictly increasing")
 
     @classmethod
     def uniform(cls, t_end: float, steps: int) -> "Partition":
-        if steps < 1 or t_end <= 0:
-            raise ValueError("need steps >= 1 and t_end > 0")
+        if steps < 1 or not 0 < t_end < np.inf:
+            raise ValueError("need steps >= 1 and a finite t_end > 0")
         return cls(tuple(t_end * i / steps for i in range(steps + 1)))
 
     @classmethod
     def from_times(cls, times: Iterable[float]) -> "Partition":
-        """Grid through the given positive times (deduplicated, sorted)."""
-        inner = sorted({float(t) for t in times if t > 0.0})
+        """Grid through the given positive times (deduplicated, sorted); a NaN
+        time is kept, so the partition refuses it."""
+        inner = sorted({float(t) for t in times if not t <= 0.0})
         return cls((0.0,) + tuple(inner))
 
     @property

@@ -31,6 +31,7 @@ from berezin.feynman_kac import (
     basis_elements,
     closed_form_kernel,
     element_coordinates,
+    element_from_coordinates,
     example_hamiltonian,
     fk_bruteforce,
     fk_evolve,
@@ -60,6 +61,127 @@ def test_basis_order_is_by_length_then_position():
     assert monomial_basis(2) == ((), (0,), (1,), (0, 1))
     assert monomial_basis(3)[:5] == ((), (0,), (1,), (2,), (0, 1))
     assert basis_elements(state_variables(2)) == [ONE, X1, X2, TOP]
+
+
+# The basis readers as they were written before the one cached table: each
+# call enumerates the subsets and builds every key again.
+def _subsets_per_call(n):
+    subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    subsets.sort(key=lambda s: (len(s), s))
+    return subsets
+
+
+def _basis_elements_per_call(variables):
+    return [
+        GrassmannElement.from_monomial(tuple(variables[i] for i in subset))
+        for subset in _subsets_per_call(len(variables))
+    ]
+
+
+def _coordinates_per_call(f, variables):
+    basis = _subsets_per_call(len(variables))
+    lookup = {multi_index(tuple(variables[i] for i in subset)): pos for pos, subset in enumerate(basis)}
+    vec = np.zeros(len(basis), dtype=complex)
+    for mi, coeff in f.items():
+        vec[lookup[mi]] = coeff
+    return vec
+
+
+def _from_coordinates_per_call(vec, variables):
+    terms = {}
+    for pos, subset in enumerate(_subsets_per_call(len(variables))):
+        coeff = complex(vec[pos])
+        if coeff != 0:
+            terms[multi_index(tuple(variables[i] for i in subset))] = coeff
+    return GrassmannElement(terms)
+
+
+def _kernel_extract_per_call(op, in_vars):
+    n = len(op.variables)
+    body = {}
+    for col, subset in enumerate(_subsets_per_call(n)):
+        complement = tuple(i for i in range(n) if i not in subset)
+        comp_mono = GrassmannElement.from_monomial(tuple(in_vars[i] for i in complement))
+        sub_mono = GrassmannElement.from_monomial(tuple(in_vars[i] for i in subset))
+        sign = (comp_mono * sub_mono).coefficient(in_vars)
+        for row, image_subset in enumerate(_subsets_per_call(n)):
+            u = complex(op.matrix[row, col])
+            if u == 0:
+                continue
+            out_mono = GrassmannElement.from_monomial(tuple(op.variables[i] for i in image_subset))
+            feynman_kac._add_into(body, (out_mono * comp_mono)._terms, u / sign)
+    return GrassmannElement._wrap(body)
+
+
+def _exact(f):
+    """Keys in order and coefficients by repr, so signs of zero count."""
+    return repr(list(f.items()))
+
+
+def _exact_list(elements):
+    return [_exact(f) for f in elements]
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("variables_of", [state_variables, kernel_variables])
+def test_the_cached_basis_matches_the_per_call_construction(n, variables_of):
+    variables = variables_of(n)
+    assert _exact_list(basis_elements(variables)) == _exact_list(_basis_elements_per_call(variables))
+    assert _exact_list(basis_elements(list(variables))) == _exact_list(_basis_elements_per_call(variables))
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec[::3] = complex(-0.0, 0.0)
+    if dim > 1:
+        vec[1] = complex(0.5, -0.0)
+    from_vec = element_from_coordinates(vec, variables)
+    assert _exact(from_vec) == _exact(_from_coordinates_per_call(vec, variables))
+    got = element_coordinates(from_vec, variables)
+    assert repr(got.tolist()) == repr(_coordinates_per_call(from_vec, variables).tolist())
+    with pytest.raises(ValueError, match="span of the basis"):
+        element_coordinates(gen(aux(1)), variables)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_extract_matches_the_per_call_construction(n):
+    from berezin.feynman_kac import OperatorMatrix
+
+    rng = np.random.default_rng(10 + n)
+    dim = 1 << n
+    matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix[0, 1:] = 0.0  # zero entries add nothing
+    # The integrated variables sort below the operator's, so the complement
+    # moves past every output monomial and the products carry signs.
+    op = OperatorMatrix(matrix, kernel_variables(n))
+    below = state_variables(n)
+    kernel = kernel_extract(op, below)
+    assert kernel.variables == kernel_variables(n) + below
+    assert _exact(kernel.body) == _exact(_kernel_extract_per_call(op, below))
+    default = kernel_extract(OperatorMatrix(matrix, state_variables(n)))
+    want = _kernel_extract_per_call(OperatorMatrix(matrix, state_variables(n)), kernel_variables(n))
+    assert _exact(default.body) == _exact(want)
+
+
+@pytest.mark.parametrize(
+    "variables", [(eta(1), eta(1)), (eta(1), eta(2), eta(1)), (eta(1), eta(9))], ids=["repeat", "late-repeat", "cap"]
+)
+def test_a_refused_variable_tuple_raises_on_every_call(variables):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            basis_elements(variables)
+        with pytest.raises(ValueError):
+            element_coordinates(ONE, variables)
+        with pytest.raises(ValueError):
+            element_from_coordinates(np.zeros(1 << len(variables)), variables)
+
+
+def test_the_basis_table_is_built_once_and_cannot_be_changed():
+    keys, positions = feynman_kac._basis_keys(SV)
+    assert feynman_kac._basis_keys(SV) is feynman_kac._basis_keys(SV)
+    assert keys == tuple(multi_index(m) for m in ((), (SV[0],), (SV[1],), SV))
+    assert dict(positions) == {key: pos for pos, key in enumerate(keys)}
+    with pytest.raises(TypeError):
+        positions[keys[0]] = 1
 
 
 def test_spec_parity_validation():

@@ -48,6 +48,21 @@ def test_round_off_of_an_exact_kernel_passes_the_ratio_check():
     assert ratio_deviation(drop_round_off(errors, grids[-1], scale), grids) == 0.0
 
 
+@pytest.mark.parametrize(
+    "errors, grids",
+    [([float("nan"), 1.0, 0.5], [1, 2, 4]), ([1.0, 0.5, float("nan")], [1, 2, 4]), ([float("inf")] * 2, [1, 2])],
+    ids=["nan-first", "nan-last", "inf"],
+)
+def test_a_non_finite_error_fails_the_ratio_check(errors, grids):
+    assert ratio_deviation(errors, grids) == float("inf")
+
+
+def test_finite_errors_keep_their_exact_ratio_deviation():
+    assert ratio_deviation([1.0, 0.5, 0.2], [1, 2, 4]) == abs(0.5 / 0.2 - 2.0)
+    assert ratio_deviation([1.0, 0.0], [1, 2]) == float("inf")
+    assert ratio_deviation([0.0, 0.0], [1, 2]) == 0.0
+
+
 @settings(derandomize=True, deadline=None)
 @given(
     limit=st.floats(-10.0, 10.0),

@@ -47,6 +47,31 @@ def test_partition_validation():
         part.node_index(0.3)
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [(0.0, float("nan")), (0.0, 0.5, float("nan")), (0.0, float("nan"), 1.0), (0.0, 0.5, float("inf"))],
+    ids=["nan-end", "nan-after-a-slice", "nan-inside", "inf-end"],
+)
+def test_partition_refuses_a_non_finite_node(nodes):
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        Partition(nodes)
+
+
+def test_a_non_finite_time_reaches_no_expectation():
+    # E[beta1 beta2] on (0, nan) used to read 0j.
+    with pytest.raises(ValueError):
+        BrownianMotion(SPACE, Partition((0.0, float("nan"))))
+    for times in ([0.5, float("inf")], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Partition.from_times(times)
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
+def test_uniform_names_a_finite_positive_end(t_end):
+    with pytest.raises(ValueError, match="a finite t_end > 0"):
+        Partition.uniform(t_end, 2)
+
+
 @st.composite
 def partitions(draw):
     """(partition, uniform?): uniform grids, and grids of random widths."""
