@@ -117,6 +117,21 @@ _INCREMENT_SHIFT = COMPONENT_CAP * _FIXED_SETS  # the first bit of increment sli
 PRUNE = 1e-14
 
 
+class NonFiniteCoefficient(ValueError):
+    """A NaN coefficient where the prune would drop a term: an input or an
+    intermediate overflowed, and dropping the term would leave a plausible
+    wrong result.  An infinite coefficient passes the prune and stays."""
+
+
+def _refuse_nan(mi: MultiIndex, c: complex) -> None:
+    """Raise ``NonFiniteCoefficient`` if ``c``, a coefficient the prune is
+    dropping, is NaN: ``abs(nan) >= PRUNE`` is False, so every prune test
+    would drop it.  Called only where a term is dropped, off the fast test."""
+    if c != c:
+        symbols = "".join(_generator_symbol(g) for g in index_generators(mi)) or "1"
+        raise NonFiniteCoefficient(f"non-finite coefficient {c} of the monomial {symbols}")
+
+
 def _block_shift(family: int, slice_index: int) -> int:
     """Position of the first bit of a block."""
     if slice_index < 0:
@@ -290,8 +305,11 @@ def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, comple
             if abs(c) >= PRUNE:
                 data[key] = get(key, 0j) + c
                 touched.append(key)
+            else:
+                _refuse_nan(key, c)
     for key in touched:
         if not abs(data[key]) >= PRUNE:
+            _refuse_nan(key, data[key])
             del data[key]
 
 
@@ -309,6 +327,8 @@ def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
                 yield abs(c)
             elif (m := abs(c + -d)) >= PRUNE:
                 yield m
+            else:
+                _refuse_nan(key, c + -d)
         for key, d in right.items():
             if key not in left and (m := abs(0j + -d)) >= PRUNE:
                 yield m
@@ -333,14 +353,17 @@ class GrassmannElement:
                 c = complex(coeff)
                 if abs(c) >= tol:
                     data[mi] = c
+                else:
+                    _refuse_nan(mi, c)
         self._terms = data
 
     @classmethod
     def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
-        ``__init__`` without its copy of every term when nothing is pruned."""
+        ``__init__`` without its copy of every term when nothing is pruned.
+        The filter's ``_refuse_nan`` returns None, so it only drops a term."""
         if not all(map(PRUNE.__le__, map(abs, data.values()))):
-            data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE}
+            data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE or _refuse_nan(mi, c)}
         return cls._wrap(data)
 
     @classmethod
@@ -642,6 +665,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             if abs(value) >= PRUNE:
                 data[mi] = value
             else:
+                _refuse_nan(mi, value)
                 data.pop(mi, None)
             continue
         image = images.get(mi)
@@ -650,6 +674,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             for key, v in image._terms.items():
                 value = 0j + plus * v
                 if not abs(value) >= PRUNE:
+                    _refuse_nan(key, value)
                     continue
                 old = get(key)
                 if old is None:
@@ -657,6 +682,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
                 elif abs(value := old + value) >= PRUNE:
                     data[key] = value
                 else:
+                    _refuse_nan(key, value)
                     del data[key]
             continue
         term = GrassmannElement.from_scalar(coeff)

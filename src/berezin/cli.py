@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import COMPONENT_CAP, element_to_json, gen
+from .algebra import COMPONENT_CAP, NonFiniteCoefficient, element_to_json, gen
 from .feynman_kac import (
     EXAMPLE_NAMES,
     ParameterError,
@@ -62,6 +62,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _lower_the_options(exc: ValueError) -> str:
+    """The message of an overflow that the Hamiltonian options caused."""
+    options = ", ".join(f"--{key}" for key in PARAMS if key != "t")
+    return f"{exc}: lower --t or the Hamiltonian options ({options})"
 
 
 def _dump_json(payload: dict) -> str:
@@ -161,8 +167,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     try:
         oracle = oracle_kernel(h, t)
     except ValueError as exc:  # -tH too large for the operator exponential
-        options = ", ".join(f"--{key}" for key in PARAMS if key != "t")
-        raise ParameterError("t", f"{exc}: lower --t or the Hamiltonian options ({options})") from None
+        raise ParameterError("t", _lower_the_options(exc)) from None
     closed = closed_form_kernel(name, t, **params)
     fk_kernels = [kernel_extract(fk_operator(h, Partition.uniform(t, n))) for n in grids]
 
@@ -377,6 +382,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ParameterError as exc:  # raised while the command builds its Hamiltonian, before any output
         commands[args.command].error(f"argument --{exc.name}: {exc}")
+    except NonFiniteCoefficient as exc:  # an overflow in the arithmetic, before any output
+        commands[args.command].error(_lower_the_options(exc))
 
 
 if __name__ == "__main__":

@@ -187,8 +187,12 @@ def isometry_residual(c: AdaptedMatrix, i: int, j: int) -> float:
     Z_i.  The identity holds exactly on every fixed grid, not only in the
     mesh limit, so the return value is pure floating-point noise.
     """
+    return _isometry_gap(c, ito_integral(c), i, j)
+
+
+def _isometry_gap(c: AdaptedMatrix, z: AdaptedProcess, i: int, j: int) -> float:
+    """``isometry_residual`` of ``c`` given its integral ``z = ito_integral(c)``."""
     space, partition = c.space, c.partition
-    z = ito_integral(c)
     z_i, z_j = z.final[i], z.final[j]
     parities = (z_i.parity(), z_j.parity())
     if Parity.MIXED in parities:

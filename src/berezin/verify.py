@@ -57,7 +57,7 @@ from .stochastic import (
     ItoProcess,
     MixedPolynomial,
     integration_by_parts_residual,
-    isometry_residual,
+    _isometry_gap,
     ito_formula_residual,
     ito_integral,
     picard_solve,
@@ -151,31 +151,47 @@ def random_element(
     max_terms: int = 8,
     parity: Parity | None = None,
 ) -> GrassmannElement:
-    """Random sparse element; coefficients keep magnitudes well above the
-    prune threshold so cancellation tests stay meaningful."""
-    bits = _pool_bits(tuple(generators))
-    n = len(bits)
+    """Random sparse element of 1..``max_terms`` terms over the pool.
+
+    Each term draws its degree uniformly from 0..n (an EVEN element rounds
+    it down to even, an ODD one to odd, at least 1), a subset of that
+    degree uniformly, and real and imaginary parts of magnitude uniform in
+    [0.2, 1] with independent signs, well above the prune threshold so
+    cancellation tests stay meaningful.  Cases are built from
+    ``rng.random()`` alone, the one draw whose stream Python keeps the same
+    across versions, so a seed gives the same elements on every supported
+    Python.
+    """
+    table = _subset_table(tuple(generators))
+    n = len(table) - 1
+    draw = rng.random
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        degree = rng.randint(0, n)
+    for _ in range(1 + int(draw() * max_terms)):
+        degree = int(draw() * (n + 1))
         if parity is Parity.EVEN:
             degree -= degree % 2
         elif parity is Parity.ODD:
             degree = max(1, degree - (1 - degree % 2))
-        key = 0
-        for i in rng.sample(range(n), degree):
-            key |= bits[i]
-        coeff = complex(rng.uniform(0.2, 1.0) * rng.choice([-1, 1]),
-                        rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))
-        terms[key] = coeff
-    return GrassmannElement(terms)
+        subsets = table[degree]
+        key = subsets[int(draw() * len(subsets))]
+        re, im = 0.2 + 0.8 * draw(), 0.2 + 0.8 * draw()
+        terms[key] = complex(re if draw() < 0.5 else -re, im if draw() < 0.5 else -im)
+    return GrassmannElement._wrap(terms)
 
 
 @cache
-def _pool_bits(generators: tuple[GeneratorId, ...]) -> tuple[int, ...]:
-    """The one-bit multi-index of each generator of a pool, checked distinct once."""
+def _subset_table(generators: tuple[GeneratorId, ...]) -> tuple[tuple[int, ...], ...]:
+    """The multi-index of every subset of a pool, by degree 0..n, its
+    generators checked distinct once."""
     multi_index(generators)
-    return tuple(multi_index((g,)) for g in generators)
+    keys = [0]
+    for g in generators:
+        bit = multi_index((g,))
+        keys += [key | bit for key in keys]
+    table: list[list[int]] = [[] for _ in range(len(generators) + 1)]
+    for key in keys:
+        table[key.bit_count()].append(key)
+    return tuple(map(tuple, table))
 
 
 # -- algebra ------------------------------------------------------------
@@ -424,8 +440,8 @@ def ito_suite(seed: int = 2024) -> list[Check]:
                 row_j = tuple(scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(2))
             values.append((row_i, row_j))
         matrix = AdaptedMatrix(space, part, tuple(values))
-        worst_iso = max(worst_iso, isometry_residual(matrix, 0, 1))
         z = ito_integral(matrix)
+        worst_iso = max(worst_iso, _isometry_gap(matrix, z, 0, 1))
         for comp in z.final:
             expected = grid_motion.expect_element(comp)
             worst_mean = max(worst_mean, expected.norm())
@@ -436,7 +452,7 @@ def ito_suite(seed: int = 2024) -> list[Check]:
     canonical = AdaptedMatrix.constant(space, part, [[1.0, 0.0], [0.0, 1.0]])
     z = ito_integral(canonical)
     lhs = BrownianMotion(space, part).expect_product(z.final[0], z.final[1]).scalar_value()
-    residual = isometry_residual(canonical, 0, 1)
+    residual = _isometry_gap(canonical, z, 0, 1)
     checks.append(Check("worked isometry example, E[Z1 Z2] = t", abs(lhs - 1.0), EXACT))
     checks.append(Check("worked isometry example, residual", residual, IDENTITY))
 

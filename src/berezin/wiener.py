@@ -50,6 +50,7 @@ from .algebra import (
     _add_into,
     _increment_blocks,
     _paired_product,
+    _refuse_nan,
     gen,
     increment,
     multi_index,
@@ -202,6 +203,8 @@ class WienerSpace:
                     value = 0j + (minus if (x & below).bit_count() & 1 else plus) * cx
                     if abs(value) >= PRUNE:
                         product[x | b] = value
+                    else:
+                        _refuse_nan(x | b, value)
             _add_into(data, product)
         return GrassmannElement._wrap(data)
 
@@ -470,6 +473,7 @@ class BrownianMotion:
                     break  # some slice variable is left unpaired: the integral is zero
                 c = dc * c
                 if not abs(c) >= PRUNE:
+                    _refuse_nan(mi, c)
                     break
                 mi ^= bits
                 rest ^= bits

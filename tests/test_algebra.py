@@ -217,6 +217,37 @@ def test_prune_threshold_drops_noise():
     assert not (E1 * 1e-13).is_zero()
 
 
+INF, NAN = float("inf"), float("nan")
+K1, K2 = multi_index((eta(1),)), multi_index((eta(2),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: GrassmannElement({0: NAN}),
+        lambda: E1 * NAN,
+        lambda: scalar(INF) + scalar(-INF),
+        lambda: _add_into({}, {1: complex(INF, 0.0)}, 0j),
+        lambda: _distance(scalar(INF), scalar(INF)),
+        lambda: substitute(GrassmannElement({K1: INF}), {eta(1): E2}),
+        lambda: substitute(GrassmannElement({K1: 1e308, K2: INF}), {eta(1): -1e308 * E2}),
+        lambda: substitute(GrassmannElement({K2: INF, K1: 1e308}), {eta(1): -1e308 * E2}),
+    ),
+    ids=(
+        "init", "adopt", "sum", "scaled-addend", "distance",
+        "substitute-image-term", "substitute-kept-term", "substitute-image-sum",
+    ),
+)
+def test_a_nan_coefficient_is_refused_where_the_prune_would_drop_it(build):
+    # abs(nan) >= PRUNE is False, so every prune test dropped the term without a word.
+    with pytest.raises(ValueError, match=r"non-finite coefficient \(?nan"):
+        build()
+
+
+def test_an_infinite_coefficient_passes_the_prune():
+    assert (E1 * INF).coefficient((eta(1),)).real == INF
+
+
 def test_rendering_style():
     el = 3.0 - 1.0j * (E1 * E2)
     assert str(el) == "3.0 - 1.0i·η[1]η[2]"

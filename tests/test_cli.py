@@ -330,6 +330,20 @@ def test_kernel_whose_exponential_overflows_exits_2_and_names_the_options(capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rate", ("1e160", "1e100"))
+def test_converge_whose_grid_values_overflow_exits_2_and_names_the_options(capsys, rate):
+    # (1 - r dt)^2 overflowed in the slice map, the weight product made the
+    # term NaN and the prune dropped it: --r 1e160 printed 1.0, 0.5 and 0.25,
+    # --r 1e100 printed 1.0, 1.25e199 and 0.0, and both exited 0.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["converge", "--quantity", "ou_xx", "--n", "1,2,4", "--r", rate])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "non-finite coefficient (nan+nanj) of the monomial η[1]η[2]" in captured.err
+    assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
+    assert captured.out == ""
+
+
 def test_kernel_just_below_the_overflow_reports_finite_numbers(capsys):
     def refuse(constant):
         raise AssertionError(f"non-finite literal {constant} in the report")

@@ -257,6 +257,12 @@ def test_the_oracle_refuses_an_exponential_that_overflows():
     assert feynman_kac._expm(np.array([[700.0, 0.0], [0.0, 1.0]], dtype=complex))[0, 0] == pytest.approx(np.exp(700.0))
 
 
+def test_a_nan_rate_is_refused_not_pruned():
+    # The NaN drift terms fell to the prune: fk_evolve returned 1.0 + 1.0·η[1]η[2].
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        fk_evolve(example_hamiltonian("ou", r=float("nan")), monomial(state_variables(2)), Partition.uniform(1.0, 4))
+
+
 def test_flat_oracle_is_exactly_linear_in_time():
     op = hamiltonian_matrix(example_hamiltonian("flat"))
     assert np.abs(op.matrix @ op.matrix).max() == 0.0  # nilpotent of order two

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berezin.algebra import Parity, eta
 from berezin.feynman_kac import example_hamiltonian, oracle_kernel
-from berezin.verify import SUITE_NAMES, drop_round_off, ratio_deviation, richardson, run_suite
+from berezin.verify import SUITE_NAMES, drop_round_off, random_element, ratio_deviation, richardson, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -33,10 +36,63 @@ def test_full_run_aggregates_every_suite(suite_checks):
 
 
 def test_a_second_run_in_one_process_repeats_every_check():
-    # The suites share cached tables (the pool bits of random_element, the
-    # slice maps of each fk map) only within what one run builds again.
+    # The suites share cached tables (the subset table of random_element,
+    # the slice maps of each fk map) only within what one run builds again.
     first = run_suite("all", 7)
     assert repr(run_suite("all", 7)) == repr(first)
+
+
+# Two variable sets of 8: a pool of 16, whose 2^16 subsets make repeated keys
+# rare enough that every drawn term count shows up as an element's length.
+WIDE_POOL = tuple(eta(i, s) for s in (0, 1) for i in range(1, 9))
+ALLOWED_DEGREES = {
+    None: set(range(17)),
+    Parity.EVEN: set(range(0, 17, 2)),
+    Parity.ODD: set(range(1, 17, 2)),
+}
+
+
+@pytest.mark.parametrize("max_terms", [4, 8, 16])
+@pytest.mark.parametrize("parity", [None, Parity.EVEN, Parity.ODD], ids=["mixed", "even", "odd"])
+def test_random_elements_keep_the_feature_mix(parity, max_terms):
+    rng = random.Random(max_terms)
+    counts, degrees, signs = set(), set(), set()
+    magnitudes = []
+    for _ in range(10_000):
+        element = random_element(rng, WIDE_POOL, max_terms=max_terms, parity=parity)
+        counts.add(len(element._terms))
+        for key, c in element.items():
+            degrees.add(key.bit_count())
+            signs.add(("re", c.real > 0))
+            signs.add(("im", c.imag > 0))
+            magnitudes += [abs(c.real), abs(c.imag)]
+    assert counts == set(range(1, max_terms + 1))
+    assert degrees == ALLOWED_DEGREES[parity]
+    assert signs == {("re", True), ("re", False), ("im", True), ("im", False)}
+    assert 0.2 <= min(magnitudes) < 0.201 and 0.999 < max(magnitudes) <= 1.0
+
+
+def test_random_elements_repeat_on_every_python():
+    # Drawn from rng.random() alone, whose stream Python keeps across versions.
+    rng = random.Random(2024)
+    pool = tuple(eta(i) for i in range(1, 7))
+    assert [repr(random_element(rng, pool)) for _ in range(3)] == [
+        "<GrassmannElement (-0.5986411056171199-0.5326976807554323i)·η[5]"
+        " + (-0.6154805783907897+0.7850880669020055i)·η[1]η[6]"
+        " + (-0.9098386152000122+0.5280708715749807i)·η[1]η[2]η[3]η[4]η[6]"
+        " + (0.7672279049843815+0.8975253859312569i)·η[1]η[2]η[3]η[5]η[6]>",
+        "<GrassmannElement (-0.5332565275781236-0.2993468149025249i)"
+        " + (0.36091805890490253+0.5414454961680406i)·η[3]η[4]"
+        " + (0.9682768080840616+0.8435050827572166i)·η[1]η[2]η[3]η[4]η[6]"
+        " + (0.23238963931744624-0.3801757500285982i)·η[1]η[2]η[3]η[4]η[5]η[6]>",
+        "<GrassmannElement (0.40002183632441835+0.2804892331076818i)"
+        " + (0.8424073176636728+0.39142793831254397i)·η[1]η[3]"
+        " + (0.7564717815388535+0.8889477320433252i)·η[2]η[3]η[4]"
+        " + (0.97761179456058+0.36074862982469036i)·η[2]η[4]η[5]"
+        " + (0.8748457382544153-0.20345349252146303i)·η[1]η[2]η[3]η[5]"
+        " + (0.9960690108791836+0.4925684221750761i)·η[1]η[3]η[4]η[5]"
+        " + (-0.5098173357465479-0.4698077758282493i)·η[1]η[2]η[3]η[4]η[5]>",
+    ]
 
 
 def test_round_off_of_an_exact_kernel_passes_the_ratio_check():

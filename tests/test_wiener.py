@@ -98,6 +98,17 @@ def test_node_lookup_on_float_times(case, data):
             partition.node_index(0.5 * (partition.nodes[i] + partition.nodes[i + 1]))
 
 
+def test_a_nan_coefficient_is_refused_by_the_noise_step_and_the_expectation():
+    # inf+infj times a real coefficient is NaN, which every prune test dropped.
+    huge = GrassmannElement({0: complex(float("inf"), float("inf"))})
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        SPACE.noise(SPACE.increment_elements(1), (huge, ZERO))
+    motion = BrownianMotion(SPACE, Partition.uniform(1.0, 1))
+    pair = motion.at_node(1)[0] * motion.at_node(1)[1]
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        motion.expect_element(GrassmannElement({key: complex(float("inf"), float("inf")) for key, _ in pair.items()}))
+
+
 def test_pairing_matrix_is_block_antisymmetric():
     space = WienerSpace(4)
     e = space.eps_matrix
