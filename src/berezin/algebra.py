@@ -556,7 +556,7 @@ def _format_coeff(c: complex) -> tuple[int, str]:
     if c.real == 0.0:
         im = c.imag
         return (1 if im >= 0 else -1), f"{abs(im)!r}i"
-    return 1, f"({c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i)"
+    return 1, f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
 
 
 ZERO = GrassmannElement()

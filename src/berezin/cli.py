@@ -36,15 +36,7 @@ from .feynman_kac import (
     oracle_kernel,
     state_variables,
 )
-from .verify import (
-    SUITE_NAMES,
-    RATIO_SLACK,
-    Check,
-    drop_round_off,
-    ratio_deviation,
-    richardson,
-    run_suite,
-)
+from .verify import SUITE_NAMES, RATIO_SLACK, Check, refinement, run_suite
 from .wiener import Partition, WienerSpace, brownian_moment_rows
 
 PARAMS = {"t": 1.0, "r": 1.0, "c": 1.0, "b": 1.0, "lam": 0.0}  # Hamiltonian options, defaults
@@ -183,8 +175,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         checks = [Check("oracle matches the reference closed form", oracle_vs_closed, tol)]
     if len(grids) > 1:
         # An exact route still carries round-off that grows with the slice count.
-        floored = drop_round_off(fk_vs_oracle, grids[-1], oracle.body.norm())
-        deviation = ratio_deviation(floored, grids)
+        deviation = refinement(grids, 1, errors=fk_vs_oracle, scale=oracle.body.norm()).deviation
         checks.append(Check("fk-vs-oracle error halves per grid doubling", deviation, RATIO_SLACK))
     else:
         bound = max(tol, 10.0 * t / grids[-1])
@@ -251,7 +242,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     grids = args.n
 
     values = [_tracked_value(quantity, params, n) for n in grids]
-    extrapolate = richardson(grids, values, QUANTITIES[quantity][2])
+    extrapolate = refinement(grids, QUANTITIES[quantity][2], values=values).extrapolate
     rows = [
         (n, params["t"] / n, quantity, v.real, v.imag, abs(v - extrapolate))
         for n, v in zip(grids, values)

@@ -4,7 +4,7 @@ Time integrals and Ito integrals are left-endpoint sums on a fixed grid;
 increments always multiply integrands from the left.  Limits are taken by
 refinement studies rather than inside the library: every object here is an
 exact finite-grid quantity, and the convergence report is the caller's job
-(see ``verify.richardson`` for the extrapolate of the studied numbers).
+(``verify.refinement`` judges such a study and extrapolates its numbers).
 
 SDEs are solved by ``solve_sde``, one forward Euler sweep: the
 left-endpoint scheme is explicit, so node r follows from node r-1 and the

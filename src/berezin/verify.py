@@ -82,7 +82,8 @@ __all__ = [
     "run_suite",
     "SUITE_NAMES",
     "random_element",
-    "richardson",
+    "refinement",
+    "Refinement",
 ]
 
 SUITE_NAMES = ("algebra", "wiener", "ito", "sde", "fk")
@@ -108,41 +109,46 @@ class Check:
         return f"{flag}  {self.name}: value={self.value:.3e} tol={self.tolerance:.1e}"
 
 
-def richardson(grids: Sequence[int], values: Sequence, order: int):
-    """Extrapolate of a refinement whose error falls like N^-order.
+@dataclass(frozen=True)
+class Refinement:
+    """What a grid-refinement study gives: the extrapolate of its values and
+    the deviation of its error ratios, each None when not asked for."""
 
-    From the last two grids M < N, with rho = (N/M)^order, the extrapolate
-    is (rho v_N - v_M) / (rho - 1), which is 2 v_N - v_M for a doubling
-    first-order study.  A one-grid study returns its single value.
+    extrapolate: object
+    deviation: float | None
+
+
+def refinement(
+    grids: Sequence[int], order: int, *, values: Sequence | None = None, errors: Sequence | None = None, scale: float = 0.0
+) -> Refinement:
+    """Judge a study over grids N_0 < N_1 < ... whose error falls like N^-order.
+
+    Successive errors should fall by rho_k = (N_{k+1} / N_k)^order.  The
+    extrapolate of ``values`` (numbers or elements) is, from the last two
+    grids, (rho v_N - v_M) / (rho - 1): 2 v_N - v_M for a doubling
+    first-order study; a one-grid study returns its single value.  The
+    deviation of ``errors`` (magnitudes) is max_k |e_k / e_{k+1} - rho_k|,
+    0 for exact data.  An error of at most N_last unit round-offs (2^-52) of
+    ``scale`` counts as exact, which is what a route of that many slices may
+    carry on an exact result; with scale 0 only an error of 0.0 does.  A NaN
+    or infinite error gives inf, which no slack accepts.
     """
-    if len(values) == 1:
-        return values[-1]
-    rho = (grids[-1] / grids[-2]) ** order
-    return (rho * values[-1] - values[-2]) / (rho - 1)
-
-
-def ratio_deviation(errors: Sequence[float], grids: Sequence[float]) -> float:
-    """Largest |e_k / e_{k+1} - N_{k+1} / N_k| over successive grids, the
-    deviation from first-order refinement; 0 for exact data.  Only an error
-    of 0.0 counts as exact: a route that may carry round-off on an exact
-    result sets it to 0.0 first (``drop_round_off``).  A NaN or infinite
-    error gives inf, which no slack accepts."""
-    if len(errors) != len(grids):
-        raise ValueError("need one error per grid")
-    worst = 0.0
-    for a, b, n_a, n_b in zip(errors, errors[1:], grids, grids[1:]):
-        if b == 0.0:
-            worst = max(worst, 0.0 if a == 0.0 else float("inf"))
-        else:
-            worst = max(worst, abs(a / b - n_b / n_a))
-    return worst if np.isfinite(errors).all() else np.inf
-
-
-def drop_round_off(errors: Sequence[float], slices: int, scale: float) -> list[float]:
-    """Errors at most ``slices`` unit round-offs (2^-52) of ``scale`` set to
-    0.0: what a route of that many slices may carry on an exact result."""
-    floor = slices * 2.0**-52 * scale
-    return [0.0 if e <= floor else e for e in errors]
+    for data in (values, errors):
+        if data is not None and len(data) != len(grids):
+            raise ValueError("need one value or error per grid")
+    rhos = [(b / a) ** order for a, b in zip(grids, grids[1:])]
+    extrapolate = deviation = None
+    if values is not None:
+        extrapolate = (rhos[-1] * values[-1] - values[-2]) / (rhos[-1] - 1) if rhos else values[-1]
+    if errors is not None:
+        floor = grids[-1] * 2.0**-52 * scale
+        errors = [0.0 if e <= floor else e for e in errors]
+        steps = [
+            abs(a / b - rho) if b != 0.0 else 0.0 if a == 0.0 else np.inf
+            for a, b, rho in zip(errors, errors[1:], rhos)
+        ]
+        deviation = max(steps, default=0.0) if np.isfinite(errors).all() else np.inf
+    return Refinement(extrapolate, deviation)
 
 
 def random_element(
@@ -411,9 +417,8 @@ def ito_suite(seed: int = 2024) -> list[Check]:
         )
         value = grid_motion.expect(time_integral(area).final[0])
         errors.append(abs(value - 0.5))
-    checks.append(
-        Check("first-order refinement of a quadratic time integral", ratio_deviation(errors, grids), RATIO_SLACK)
-    )
+    deviation = refinement(grids, 1, errors=errors).deviation
+    checks.append(Check("first-order refinement of a quadratic time integral", deviation, RATIO_SLACK))
 
     worst_iso = 0.0
     worst_mean = 0.0
@@ -495,11 +500,9 @@ def sde_suite() -> list[Check]:
         final_moves.append(again.differences[0])
     del solution, again  # the 64-slice processes, which nothing below needs
     limit = 0.5 * (1 - np.exp(-2.0))
-    errors = [abs(v - limit) for v in values]
-    checks.append(Check("OU moment first-order refinement", ratio_deviation(errors, grids), RATIO_SLACK))
-    checks.append(
-        Check("OU moment extrapolate vs (1-e^-2)/2", abs(richardson(grids, values, 1) - limit), 2e-3)
-    )
+    study = refinement(grids, 1, values=values, errors=[abs(v - limit) for v in values])
+    checks.append(Check("OU moment first-order refinement", study.deviation, RATIO_SLACK))
+    checks.append(Check("OU moment extrapolate vs (1-e^-2)/2", abs(study.extrapolate - limit), 2e-3))
     checks.append(Check("Picard iterates stationary (last movement)", max(final_moves), 0.0))
 
     # uniqueness probe: a far-off initial guess lands on the same fixed point
@@ -532,12 +535,10 @@ def sde_suite() -> list[Check]:
         growth_times_first = MixedPolynomial(1, 2, {((1,), (1,)): 1.0})
         chain_errors.append(ito_formula_residual(growth_times_first, joined))
         ibp_errors.append(integration_by_parts_residual(ou_proc))
-    checks.append(
-        Check("change-of-variables residual halves per doubling", ratio_deviation(chain_errors, grids), RATIO_SLACK)
-    )
-    checks.append(
-        Check("product-rule residual halves per doubling", ratio_deviation(ibp_errors, grids), RATIO_SLACK)
-    )
+    chain = refinement(grids, 1, errors=chain_errors).deviation
+    ibp = refinement(grids, 1, errors=ibp_errors).deviation
+    checks.append(Check("change-of-variables residual halves per doubling", chain, RATIO_SLACK))
+    checks.append(Check("product-rule residual halves per doubling", ibp, RATIO_SLACK))
 
     # mu-distance diagnostics decay on a small grid
     small = Partition.uniform(1.0, 5)
@@ -598,9 +599,8 @@ def feynman_kac_suite() -> list[Check]:
         estimate = fk_evolve(oscillator, basis[3], Partition.uniform(1.0, steps))
         errors.append((estimate - target).norm())
         finals.append(estimate)
-    checks.append(
-        Check("oscillator estimate converges first order to the oracle", ratio_deviation(errors, grids), RATIO_SLACK)
-    )
+    deviation = refinement(grids, 1, errors=errors).deviation
+    checks.append(Check("oscillator estimate converges first order to the oracle", deviation, RATIO_SLACK))
     at_zero = abs(finals[-1].constant - target.constant)
     checks.append(Check("oscillator value at the zero start, finest grid", at_zero, 5e-3))
 
@@ -620,12 +620,12 @@ def feynman_kac_suite() -> list[Check]:
         estimate = fk_evolve(quartic, basis[3], Partition.uniform(1.0, steps))
         quartic_errors.append((estimate - reference).norm())
         values.append(estimate)
+    study = refinement(grids, 1, values=values, errors=quartic_errors)
     checks.append(
-        Check("quartic moment converges first order to the reference value", ratio_deviation(quartic_errors, grids), RATIO_SLACK)
+        Check("quartic moment converges first order to the reference value", study.deviation, RATIO_SLACK)
     )
-    refined = richardson(grids, values, 1)
     checks.append(
-        Check("quartic moment extrapolate vs the reference value", (refined - reference).norm(), 5e-4)
+        Check("quartic moment extrapolate vs the reference value", (study.extrapolate - reference).norm(), 5e-4)
     )
 
     expected_gap = abs(1.0 - np.exp(-2.0))
@@ -675,7 +675,7 @@ def feynman_kac_suite() -> list[Check]:
         for h_step in (1e-2, 5e-3, 2.5e-3):
             slope = (semigroup_oracle(hm, h_step).matrix - np.eye(hm.dimension)) / h_step
             h_errors.append(float(np.abs(slope + hm.matrix).max()))
-        derivative = max(derivative, ratio_deviation(h_errors, (1, 2, 4)))
+        derivative = max(derivative, refinement((1, 2, 4), 1, errors=h_errors).deviation)
     checks.append(Check("oracle semigroup property", semigroup, IDENTITY))
     checks.append(Check("oracle derivative at zero, first order", derivative, RATIO_SLACK))
 

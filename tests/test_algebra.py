@@ -252,6 +252,7 @@ def test_rendering_style():
     el = 3.0 - 1.0j * (E1 * E2)
     assert str(el) == "3.0 - 1.0i·η[1]η[2]"
     assert str(ZERO) == "0"
+    assert str(E1 * INF) == "(inf+nani)·η[1]"  # complex * float makes inf+nanj
 
 
 def test_json_round_trip_is_lossless():

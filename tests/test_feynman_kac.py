@@ -46,7 +46,7 @@ from berezin.feynman_kac import (
     semigroup_oracle,
     state_variables,
 )
-from berezin.verify import ratio_deviation
+from berezin.verify import refinement
 from berezin.wiener import Partition, WienerSpace, _integrate_slice, _slice_density, heat_kernel_difference
 
 SV = state_variables(2)
@@ -319,7 +319,7 @@ def test_oscillator_estimate_converges_first_order_to_the_oracle():
     for steps in (8, 16, 32, 64):
         last = fk_evolve(oscillator, TOP, Partition.uniform(1.0, steps))
         errors.append((last - target).norm())
-    assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
+    assert refinement((8, 16, 32, 64), 1, errors=errors).deviation <= 0.3
     assert abs(last.constant - np.sinh(1.0)) <= 5e-3
 
 
@@ -330,7 +330,7 @@ def test_quartic_moments_converge_to_the_reference_values():
     for steps in (8, 16, 32, 64):
         estimate = fk_evolve(quartic, TOP, Partition.uniform(1.0, steps))
         errors.append((estimate - reference).norm())
-    assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
+    assert refinement((8, 16, 32, 64), 1, errors=errors).deviation <= 0.3
     partition = Partition.uniform(1.0, 16)
     assert (fk_evolve(quartic, ONE, partition) - ONE).norm() <= 1e-12
     assert (fk_evolve(quartic, X1, partition) - X1).norm() <= 1e-12
@@ -368,7 +368,7 @@ def test_a_real_quartic_field_evolves_with_the_opposite_exponent():
     for steps in (16, 32, 64):
         estimate = fk_evolve(real_variant, TOP, Partition.uniform(1.0, steps))
         errors.append((estimate - target).norm())
-    assert ratio_deviation(errors, (16, 32, 64)) <= 0.4
+    assert refinement((16, 32, 64), 1, errors=errors).deviation <= 0.4
 
 
 def test_bruteforce_agrees_with_the_transfer_engine():
@@ -792,7 +792,7 @@ def test_four_dimensional_oscillator_through_the_generic_machinery():
     for steps in (8, 16, 32):
         estimate = fk_evolve(h, ONE, Partition.uniform(1.0, steps))
         errors.append((estimate - evolved).norm())
-    assert ratio_deviation(errors, (8, 16, 32)) <= 0.3
+    assert refinement((8, 16, 32), 1, errors=errors).deviation <= 0.3
     assert errors[-1] <= 0.15
 
 

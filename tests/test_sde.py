@@ -18,7 +18,7 @@ from berezin.stochastic import (
     solve_sde,
 )
 from berezin.cli import PARAMS, _tracked_value
-from berezin.verify import ratio_deviation
+from berezin.verify import refinement
 from berezin.wiener import BrownianMotion, Partition, WienerSpace
 
 SPACE = WienerSpace(2)
@@ -157,7 +157,7 @@ def test_ou_second_moment_refines_to_the_closed_value():
         values.append(complex(motion.expect(final[0] * final[1])))
     limit = (1 - np.exp(-2.0)) / 2
     errors = [abs(v - limit) for v in values]
-    assert ratio_deviation(errors, (8, 16, 32, 64)) <= 0.3
+    assert refinement((8, 16, 32, 64), 1, errors=errors).deviation <= 0.3
     extrapolate = 2 * values[-1] - values[-2]
     assert abs(extrapolate - limit) <= 2e-3
 
@@ -187,7 +187,7 @@ def test_product_rule_residual_halves_for_the_linear_drift():
         process = ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution)
         errors.append(integration_by_parts_residual(process))
     assert errors[0] > 1e-3  # a genuine first-order gap, not noise
-    assert ratio_deviation(errors, (8, 16, 32)) <= 0.3
+    assert refinement((8, 16, 32), 1, errors=errors).deviation <= 0.3
 
 
 def test_exponential_bracket_cancellation_for_the_linear_drift():
@@ -201,7 +201,7 @@ def test_exponential_bracket_cancellation_for_the_linear_drift():
         motion = BrownianMotion(SPACE, partition)
         value = motion.expect_element(np.exp(rate) * solution.final[0]) - XI[0]
         norms.append(value.norm())
-    assert ratio_deviation(norms, (8, 16, 32)) <= 0.3
+    assert refinement((8, 16, 32), 1, errors=norms).deviation <= 0.3
     assert norms[-1] <= 0.05
 
 
@@ -220,7 +220,7 @@ def test_change_of_variables_residual_halves_with_a_deterministic_factor():
         joined = ItoProcess.concat(deterministic, stochastic_part)
         errors.append(ito_formula_residual(growth_times_first, joined))
     assert errors[0] > 1e-3
-    assert ratio_deviation(errors, (8, 16, 32)) <= 0.3
+    assert refinement((8, 16, 32), 1, errors=errors).deviation <= 0.3
 
 
 def test_state_dependent_quadratic_diffusion_is_accepted():

@@ -1,12 +1,14 @@
 import random
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berezin.algebra import Parity, eta
 from berezin.feynman_kac import example_hamiltonian, oracle_kernel
-from berezin.verify import SUITE_NAMES, drop_round_off, random_element, ratio_deviation, richardson, run_suite
+from berezin.verify import SUITE_NAMES, random_element, refinement, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -99,9 +101,9 @@ def test_round_off_of_an_exact_kernel_passes_the_ratio_check():
     # fk-vs-oracle errors of `kernel flat_potential --t 1 --lam 0.7` on 64...1024 slices
     grids = (64, 128, 256, 512, 1024)
     errors = [0.0, 0.0, 0.0, 0.0, 1.07e-13]
-    assert ratio_deviation(errors, grids) == 2.0
+    assert refinement(grids, 1, errors=errors).deviation == 2.0
     scale = oracle_kernel(example_hamiltonian("flat_potential", lam=0.7), 1.0).body.norm()
-    assert ratio_deviation(drop_round_off(errors, grids[-1], scale), grids) == 0.0
+    assert refinement(grids, 1, errors=errors, scale=scale).deviation == 0.0
 
 
 @pytest.mark.parametrize(
@@ -110,13 +112,13 @@ def test_round_off_of_an_exact_kernel_passes_the_ratio_check():
     ids=["nan-first", "nan-last", "inf"],
 )
 def test_a_non_finite_error_fails_the_ratio_check(errors, grids):
-    assert ratio_deviation(errors, grids) == float("inf")
+    assert refinement(grids, 1, errors=errors).deviation == float("inf")
 
 
 def test_finite_errors_keep_their_exact_ratio_deviation():
-    assert ratio_deviation([1.0, 0.5, 0.2], [1, 2, 4]) == abs(0.5 / 0.2 - 2.0)
-    assert ratio_deviation([1.0, 0.0], [1, 2]) == float("inf")
-    assert ratio_deviation([0.0, 0.0], [1, 2]) == 0.0
+    assert refinement([1, 2, 4], 1, errors=[1.0, 0.5, 0.2]).deviation == abs(0.5 / 0.2 - 2.0)
+    assert refinement([1, 2], 1, errors=[1.0, 0.0]).deviation == float("inf")
+    assert refinement([1, 2], 1, errors=[0.0, 0.0]).deviation == 0.0
 
 
 @settings(derandomize=True, deadline=None)
@@ -130,7 +132,7 @@ def test_finite_errors_keep_their_exact_ratio_deviation():
 def test_richardson_recovers_the_limit(limit, amplitude, order, coarse, step):
     grids = (coarse, coarse + step)
     values = [limit + amplitude / n**order for n in grids]
-    assert richardson(grids, values, order) == pytest.approx(limit, abs=1e-9)
+    assert refinement(grids, order, values=values).extrapolate == pytest.approx(limit, abs=1e-9)
 
 
 @settings(derandomize=True, deadline=None)
@@ -140,4 +142,84 @@ def test_richardson_recovers_the_limit(limit, amplitude, order, coarse, step):
 )
 def test_ratio_deviation_of_first_order_errors_is_zero(grids, amplitude):
     errors = [amplitude / n for n in grids]
-    assert ratio_deviation(errors, grids) <= 1e-9
+    assert refinement(grids, 1, errors=errors).deviation <= 1e-9
+
+
+def test_unequal_lengths_are_refused():
+    with pytest.raises(ValueError):
+        refinement([1, 2], 1, errors=[1.0])
+    with pytest.raises(ValueError):
+        refinement([1, 2, 4], 1, values=[1.0, 0.5])
+
+
+# The three rules that refinement() replaced, kept verbatim as oracles.
+
+
+def richardson(grids: Sequence[int], values: Sequence, order: int):
+    """Extrapolate of a refinement whose error falls like N^-order.
+
+    From the last two grids M < N, with rho = (N/M)^order, the extrapolate
+    is (rho v_N - v_M) / (rho - 1), which is 2 v_N - v_M for a doubling
+    first-order study.  A one-grid study returns its single value.
+    """
+    if len(values) == 1:
+        return values[-1]
+    rho = (grids[-1] / grids[-2]) ** order
+    return (rho * values[-1] - values[-2]) / (rho - 1)
+
+
+def ratio_deviation(errors: Sequence[float], grids: Sequence[float]) -> float:
+    """Largest |e_k / e_{k+1} - N_{k+1} / N_k| over successive grids, the
+    deviation from first-order refinement; 0 for exact data.  Only an error
+    of 0.0 counts as exact: a route that may carry round-off on an exact
+    result sets it to 0.0 first (``drop_round_off``).  A NaN or infinite
+    error gives inf, which no slack accepts."""
+    if len(errors) != len(grids):
+        raise ValueError("need one error per grid")
+    worst = 0.0
+    for a, b, n_a, n_b in zip(errors, errors[1:], grids, grids[1:]):
+        if b == 0.0:
+            worst = max(worst, 0.0 if a == 0.0 else float("inf"))
+        else:
+            worst = max(worst, abs(a / b - n_b / n_a))
+    return worst if np.isfinite(errors).all() else np.inf
+
+
+def drop_round_off(errors: Sequence[float], slices: int, scale: float) -> list[float]:
+    """Errors at most ``slices`` unit round-offs (2^-52) of ``scale`` set to
+    0.0: what a route of that many slices may carry on an exact result."""
+    floor = slices * 2.0**-52 * scale
+    return [0.0 if e <= floor else e for e in errors]
+
+
+@st.composite
+def refinement_studies(draw):
+    """Strictly increasing grids (rarely doubling), a scale, and one error per
+    grid: 0.0, NaN, inf, an arbitrary magnitude, or a whole number of unit
+    round-offs of the scale on either side of the floor."""
+    grids = sorted(draw(st.sets(st.integers(1, 10_000), min_size=1, max_size=6)))
+    scale = draw(st.just(0.0) | st.floats(1e-3, 1e6))
+    unit = 2.0**-52 * scale
+    error = st.one_of(
+        st.sampled_from((0.0, float("nan"), float("inf"))),
+        st.floats(0.0, 1e3),
+        st.integers(0, 2 * grids[-1]).map(lambda k: k * unit),
+    )
+    errors = draw(st.lists(error, min_size=len(grids), max_size=len(grids)))
+    return grids, scale, errors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(study=refinement_studies(), order=st.sampled_from((1, 2)), seed=st.integers(0, 2**32))
+def test_refinement_repeats_the_rules_it_replaced(study, order, seed):
+    grids, scale, errors = study
+    deviation = refinement(grids, 1, errors=errors, scale=scale).deviation
+    assert repr(deviation) == repr(ratio_deviation(drop_round_off(errors, grids[-1], scale), grids))
+    if scale == 0.0:
+        assert repr(deviation) == repr(ratio_deviation(errors, grids))
+    numbers = [complex(e, -e) for e in errors]
+    assert repr(refinement(grids, 1, values=numbers).extrapolate) == repr(richardson(grids, numbers, 1))
+    rng = random.Random(seed)
+    elements = [random_element(rng, tuple(eta(i) for i in range(1, 5))) for _ in grids]
+    got = refinement(grids, order, values=elements).extrapolate
+    assert repr(got._terms) == repr(richardson(grids, elements, order)._terms)
