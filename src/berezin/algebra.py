@@ -125,11 +125,20 @@ class NonFiniteCoefficient(ValueError):
 
 def _refuse_nan(mi: MultiIndex, c: complex) -> None:
     """Raise ``NonFiniteCoefficient`` if ``c``, a coefficient the prune is
-    dropping, is NaN: ``abs(nan) >= PRUNE`` is False, so every prune test
-    would drop it.  Called only where a term is dropped, off the fast test."""
+    dropping, is NaN: a NaN fails every comparison, so the prune test would
+    drop it.  Called only by ``_kept``, on its drop branch."""
     if c != c:
         symbols = "".join(_generator_symbol(g) for g in index_generators(mi)) or "1"
         raise NonFiniteCoefficient(f"non-finite coefficient {c} of the monomial {symbols}")
+
+
+def _kept(mi: MultiIndex, c: complex) -> bool:
+    """The prune rule, the one test of it: whether the term ``c`` on ``mi``
+    is kept (``abs(c) >= PRUNE``).  A term it drops must not be NaN."""
+    if abs(c) >= PRUNE:
+        return True
+    _refuse_nan(mi, c)
+    return False
 
 
 def _block_shift(family: int, slice_index: int) -> int:
@@ -281,35 +290,52 @@ def _paired_product(left: dict[MultiIndex, complex], right: dict[MultiIndex, com
     return data
 
 
+def _generator_product(b: MultiIndex, k: complex, terms: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
+    """The terms of ``_product({b: k}, terms)`` for a one-bit key ``b``,
+    pruned as ``*`` prunes them, in closed form.
+
+    A term c X with X & b = 0 goes to X | b with the sign
+    (-1)^popcount(X & (b - 1)) of moving b past the generators of X below
+    it, which is ``_product``'s sign since ``_above(b)`` is the bits at or
+    below b; each key occurs once, so its value is ``_product``'s
+    0j + (+-1 k) c.
+    """
+    below = b - 1
+    plus, minus = 1 * k, -1 * k
+    data: dict[MultiIndex, complex] = {}
+    for x, cx in terms.items():
+        if not x & b:
+            value = 0j + (minus if (x & below).bit_count() & 1 else plus) * cx
+            if _kept(x | b, value):
+                data[x | b] = value
+    return data
+
+
 def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, complex], factor: Scalar | None = None) -> None:
     """Add the terms of a pruned element, times ``factor`` when given, into
     ``data`` in place: the sum rule of every element accumulation.
 
     ``data`` must hold no coefficient below the prune threshold.  Each
     addend term is first scaled and pruned as ``factor * element`` would
-    scale and prune it, then added as ``+`` adds it, and only the keys the
-    addend touched are pruned afterwards.  So ``data`` ends up as
-    ``element + factor * addend`` would hold it, key order, rounding and
+    scale and prune it, then added as ``+`` adds it.  Only a sum with a
+    value ``data`` already held can fall below the prune (a new key holds
+    0j + c, of the kept term's magnitude), so only those sums are pruned,
+    each as it is made; an addend holds each key once, so that leaves the
+    keys in the order of ``+``'s one prune after the sum.  ``data`` ends up
+    as ``element + factor * addend`` would hold it, key order, rounding and
     signs of zero included, without the copy of the accumulator that each
     ``+`` makes.
     """
     get = data.get
-    if factor is None:
-        for key, c in terms.items():
-            data[key] = get(key, 0j) + c
-        touched: Iterable[MultiIndex] = terms
-    else:
-        touched = []
-        for key, c in terms.items():
-            c = c * factor
-            if abs(c) >= PRUNE:
-                data[key] = get(key, 0j) + c
-                touched.append(key)
-            else:
-                _refuse_nan(key, c)
-    for key in touched:
-        if not abs(data[key]) >= PRUNE:
-            _refuse_nan(key, data[key])
+    for key, c in terms.items():
+        if factor is not None and not _kept(key, c := c * factor):
+            continue
+        old = get(key)
+        if old is None:
+            data[key] = 0j + c
+        elif _kept(key, c := old + c):
+            data[key] = c
+        else:
             del data[key]
 
 
@@ -325,13 +351,11 @@ def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
             d = right.get(key)
             if d is None:
                 yield abs(c)
-            elif (m := abs(c + -d)) >= PRUNE:
-                yield m
-            else:
-                _refuse_nan(key, c + -d)
+            elif _kept(key, c := c + -d):
+                yield abs(c)
         for key, d in right.items():
-            if key not in left and (m := abs(0j + -d)) >= PRUNE:
-                yield m
+            if key not in left and _kept(key, d := 0j + -d):
+                yield abs(d)
 
     return sum(magnitudes())
 
@@ -346,24 +370,21 @@ class GrassmannElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[MultiIndex, Scalar] | None = None):
-        tol = PRUNE  # a local: the per-term loop below is hot
         data: dict[MultiIndex, complex] = {}
         if terms:
             for mi, coeff in terms.items():
-                c = complex(coeff)
-                if abs(c) >= tol:
+                if _kept(mi, c := complex(coeff)):
                     data[mi] = c
-                else:
-                    _refuse_nan(mi, c)
         self._terms = data
 
     @classmethod
     def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
         ``__init__`` without its copy of every term when nothing is pruned.
-        The filter's ``_refuse_nan`` returns None, so it only drops a term."""
+        The scan is the prune test run at C speed; only when it finds a term
+        to drop does ``_kept`` filter the terms, refusing a NaN."""
         if not all(map(PRUNE.__le__, map(abs, data.values()))):
-            data = {mi: c for mi, c in data.items() if abs(c) >= PRUNE or _refuse_nan(mi, c)}
+            data = {mi: c for mi, c in data.items() if _kept(mi, c)}
         return cls._wrap(data)
 
     @classmethod
@@ -662,10 +683,9 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
     for mi, coeff in a.items():
         if not mi & mapped:
             value = get(mi, 0j) + coeff
-            if abs(value) >= PRUNE:
+            if _kept(mi, value):
                 data[mi] = value
             else:
-                _refuse_nan(mi, value)
                 data.pop(mi, None)
             continue
         image = images.get(mi)
@@ -673,16 +693,14 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             plus = 1 * coeff
             for key, v in image._terms.items():
                 value = 0j + plus * v
-                if not abs(value) >= PRUNE:
-                    _refuse_nan(key, value)
+                if not _kept(key, value):
                     continue
                 old = get(key)
                 if old is None:
                     data[key] = value  # 0j + value, as the sum adds it to an absent key
-                elif abs(value := old + value) >= PRUNE:
+                elif _kept(key, value := old + value):
                     data[key] = value
                 else:
-                    _refuse_nan(key, value)
                     del data[key]
             continue
         term = GrassmannElement.from_scalar(coeff)

@@ -34,6 +34,7 @@ from .feynman_kac import (
     fk_operator,
     kernel_extract,
     oracle_kernel,
+    quartic_top_gap,
     state_variables,
 )
 from .verify import SUITE_NAMES, RATIO_SLACK, Check, refinement, run_suite
@@ -168,7 +169,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     fk_vs_closed = float((fk_kernels[-1].body - closed.body).norm())
 
     if name == "quartic":
-        top_gap = float(abs(np.expm1(-2.0 * params["b"] * t)))
+        top_gap = quartic_top_gap(t, params["b"])
         label = "reference closed form differs from the oracle by the known top-slot gap"
         checks = [Check(label, abs(oracle_vs_closed - top_gap), tol)]
     else:

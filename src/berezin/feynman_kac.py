@@ -80,6 +80,7 @@ __all__ = [
     "kernel_extract",
     "oracle_kernel",
     "closed_form_kernel",
+    "quartic_top_gap",
     "example_hamiltonian",
     "EXAMPLE_NAMES",
     "ParameterError",
@@ -580,6 +581,13 @@ def closed_form_kernel(
         body = delta + scalar(c * c / (2 * b) * np.expm1(-2 * b * t))
         return SupersmoothFunction(body, variables)
     raise ValueError(f"unknown kernel name {name!r}")
+
+
+def quartic_top_gap(t: float, b: float = 1.0) -> float:
+    """|1 - e^{-2bt}|, the known gap between the quartic reference kernel of
+    ``closed_form_kernel`` and the operator exponential in the top-monomial
+    slot; ``np.expm1`` keeps it accurate as bt goes to zero."""
+    return float(abs(np.expm1(-2.0 * b * t)))
 
 
 EXAMPLE_NAMES = ("flat", "flat_potential", "ou", "oscillator", "quartic")

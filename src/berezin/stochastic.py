@@ -116,9 +116,9 @@ class AdaptedProcess:
             out.append(parities.pop() if parities else Parity.EVEN)
         return tuple(out)
 
-    def random_variable(self, r: int | None = None) -> RandomVariable:
-        node = self.partition.steps if r is None else r
-        return RandomVariable(BrownianMotion(self.space, self.partition), self.values[node])
+    def random_variable(self) -> RandomVariable:
+        """The process's value at the last node."""
+        return RandomVariable(BrownianMotion(self.space, self.partition), self.values[-1])
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .feynman_kac import (
     matrix_apply,
     closed_form_kernel,
     oracle_kernel,
+    quartic_top_gap,
     sde_spec,
     semigroup_oracle,
     state_variables,
@@ -628,7 +629,6 @@ def feynman_kac_suite() -> list[Check]:
         Check("quartic moment extrapolate vs the reference value", (study.extrapolate - reference).norm(), 5e-4)
     )
 
-    expected_gap = abs(1.0 - np.exp(-2.0))
     oracle_k = oracle_kernel(quartic, 1.0)
     reference_k = closed_form_kernel("quartic", 1.0)
     difference = oracle_k.body - reference_k.body
@@ -645,7 +645,7 @@ def feynman_kac_suite() -> list[Check]:
     checks.append(
         Check(
             "quartic top-slot gap equals 1 - e^(-2bt) (reported, not patched)",
-            abs(abs(gap_term) - expected_gap),
+            abs(abs(gap_term) - quartic_top_gap(1.0)),
             1e-9,
         )
     )

@@ -10,25 +10,23 @@ coefficient of the complementary pairs.  One value holds that rule for a
 slice, ``SliceDensity``: the slice's bits and its pairing table, built
 from the closed form of ``heat_kernel``'s product over the pairs, with no
 element product and no prune.  ``BrownianMotion`` and ``_integrate_slice``,
-the one-slice oracle that tests call, read it, and they build slice masks
-from generator ids only, so no bit position is assumed outside ``algebra``;
-a ``WienerSpace`` builds one density per width, on slice 0, which a motion
-moves to slice r by the distance between the two slices' first bits, since
-every block lays out its components alike.  ``WienerSpace.noise`` takes
-its products with increment generators in closed form, relying only on
-bit order being canonical order.  The increments of distinct slices
-are independent, so the default engine takes an expectation in one pass
-over the functional's terms: each term walks only the slices its key
-touches, last slice first, multiplying in one pairing coefficient per
-slice, and is dropped as soon as a slice's pattern has no pairing or its
-coefficient falls below the prune threshold.  The survivors are summed in
-term order and pruned once, which is bit for bit the sum of integrating
-each term alone, slice by slice.  The expectation of a product,
-``BrownianMotion.expect_product``, builds only the product terms whose
-increments pair up whole (``algebra._paired_product``), the only ones the
-pass keeps, so the others are never formed.  A joint mode that forms the
-density products and keeps all slices live backs it as an internal oracle
-for small grids.
+the one-slice oracle that tests call, read it.  A motion builds each
+slice's density on that slice, from its generator ids, and takes no
+algebra rule into its own hands: the prune test is ``algebra._kept`` and
+``WienerSpace.noise``'s products with increment generators are
+``algebra._generator_product``, so no bit position is assumed outside
+``algebra``.  The increments of distinct slices are independent, so the
+default engine takes an expectation in one pass over the functional's
+terms: each term walks only the slices its key touches, last slice first,
+multiplying in one pairing coefficient per slice, and is dropped as soon
+as a slice's pattern has no pairing or ``_kept`` prunes its coefficient.
+The survivors are summed in term order and pruned once, which is bit for
+bit the sum of integrating each term alone, slice by slice.  The
+expectation of a product, ``BrownianMotion.expect_product``, builds only
+the product terms whose increments pair up whole
+(``algebra._paired_product``), the only ones the pass keeps, so the others
+are never formed.  A joint mode that forms the density products and keeps
+all slices live backs it as an internal oracle for small grids.
 """
 
 from __future__ import annotations
@@ -46,11 +44,11 @@ from .algebra import (
     GrassmannElement,
     MultiIndex,
     ONE,
-    PRUNE,
     _add_into,
+    _generator_product,
     _increment_blocks,
+    _kept,
     _paired_product,
-    _refuse_nan,
     gen,
     increment,
     multi_index,
@@ -145,7 +143,6 @@ class WienerSpace:
             raise ValueError(f"the Brownian dimension m must be an even integer from 2 to {COMPONENT_CAP}")
         self.m = m
         self._bits: dict[int, tuple[MultiIndex, ...]] = {}
-        self._densities: dict[float, SliceDensity] = {}
 
     def eps(self, a: int, b: int) -> int:
         """Pairing e^{ab} for 1-based component indices."""
@@ -182,30 +179,19 @@ class WienerSpace:
     ) -> GrassmannElement:
         """Euler noise step sum_a dbeta^a C_a, increments multiplying from the left.
 
-        Each increment is one generator b with coefficient k, so dbeta^a C_a
-        is a bit merge: a term c X of C_a with X & b = 0 goes to X | b with
-        the sign (-1)^popcount(X & (b - 1)) of moving b past the generators
-        of X below it.  The coefficient is ``_product``'s 0j + (+-1 k) c, each
-        product is pruned as ``*`` prunes it, and the products are summed
-        in place in the order of ``ZERO + d1 C1 + d2 C2 + ...``, so the result
-        equals that chain bit for bit.
+        Each increment must be one generator with a coefficient, so each
+        product dbeta^a C_a is ``algebra._generator_product``, ``*`` in
+        closed form.  The products are summed in place in the order of
+        ``ZERO + d1 C1 + d2 C2 + ...``, so the result equals that chain bit
+        for bit.
         """
         data: dict[MultiIndex, complex] = {}
         for d, c in zip(increments, coefficients):
-            ((b, k),) = d.items()
-            below = b - 1
-            if not b or b & below:
+            terms = d._terms
+            b = next(iter(terms)) if len(terms) == 1 else 0
+            if not b or b & (b - 1):
                 raise ValueError(f"an increment must be one generator, got {d}")
-            plus, minus = 1 * k, -1 * k
-            product: dict[MultiIndex, complex] = {}
-            for x, cx in c.items():
-                if not x & b:
-                    value = 0j + (minus if (x & below).bit_count() & 1 else plus) * cx
-                    if abs(value) >= PRUNE:
-                        product[x | b] = value
-                    else:
-                        _refuse_nan(x | b, value)
-            _add_into(data, product)
+            _add_into(data, _generator_product(b, terms[b], c._terms))
         return GrassmannElement._wrap(data)
 
     def increment_ids(self, slice_index: int) -> tuple[GeneratorId, ...]:
@@ -222,14 +208,6 @@ class WienerSpace:
     def increment_elements(self, slice_index: int) -> tuple[GrassmannElement, ...]:
         """The increment generators of a slice as elements, ``gen`` of each."""
         return tuple(GrassmannElement._wrap({b: 1 + 0j}) for b in self._increment_bits(slice_index))
-
-    def _width_density(self, width: float) -> SliceDensity:
-        """The density of a slice of ``width`` on increment slice 0, built by
-        ``_slice_density`` once per space and width."""
-        density = self._densities.get(width)
-        if density is None:
-            density = self._densities[width] = _slice_density(self.increment_ids(0), width)
-        return density
 
     def __repr__(self) -> str:
         return f"WienerSpace(m={self.m})"
@@ -367,11 +345,10 @@ class BrownianMotion:
     node r is the sum of the first r increments.  An expectation is one
     pass over the functional's terms: a term meets the slices it touches,
     last slice first, and takes from each slice's pairing table (the
-    ``SliceDensity`` that ``_slice_density`` gives, built once per space and
-    width and moved to the slice once per instance) one factor, or is
-    dropped.  The slice that holds a term's highest remaining bit is looked
-    up by that bit's length, under which each of the slice's generator bits
-    files the slice.  That equals integrating each term alone with
+    ``SliceDensity`` that ``_slice_density`` builds on the slice, once per
+    instance) one factor, or is dropped.  The slice that holds a term's
+    highest remaining bit is looked up by that bit's length, under which
+    each of the slice's generator bits files the slice.  That equals integrating each term alone with
     ``_integrate_slice`` and summing, bit for bit.  ``expect_product``
     feeds the pass only the terms of a product it keeps.
     """
@@ -439,18 +416,12 @@ class BrownianMotion:
         return slices
 
     def _density(self, r: int) -> SliceDensity:
-        """Slice r's density, once per instance: the space's density of the
-        slice width (``WienerSpace._width_density``) moved from slice 0 to
-        slice r, and filed under the bit length of each of the slice's
-        generator bits."""
+        """Slice r's density, built on the slice once per instance and filed
+        under the bit length of each of the slice's generator bits."""
         density = self._densities.get(r)
         if density is None:
-            bits = self.space._increment_bits(r)
-            base = self.space._width_density(self.partition.delta(r))
-            shift = bits[0].bit_length() - (base.bits & -base.bits).bit_length()
-            table = {need << shift: c for need, c in base.table.items()}
-            density = self._densities[r] = SliceDensity(base.bits << shift, table)
-            for b in bits:
+            density = self._densities[r] = _slice_density(self.space.increment_ids(r), self.partition.delta(r))
+            for b in self.space._increment_bits(r):
                 self._by_top[b.bit_length()] = density
         return density
 
@@ -472,8 +443,7 @@ class BrownianMotion:
                 if dc is None:
                     break  # some slice variable is left unpaired: the integral is zero
                 c = dc * c
-                if not abs(c) >= PRUNE:
-                    _refuse_nan(mi, c)
+                if not _kept(mi, c):
                     break
                 mi ^= bits
                 rest ^= bits
@@ -515,25 +485,19 @@ class RandomVariable:
         return self.motion.expect(x)
 
 
-def mu_distance(
-    x: RandomVariable,
-    y: RandomVariable,
-    test_family: Sequence[Sequence[int]] | None = None,
-) -> float:
+def mu_distance(x: RandomVariable, y: RandomVariable) -> float:
     """Largest gap between expectations of test monomials of x and of y.
 
-    The default family is every squarefree monomial in the components (for
-    odd components repeated factors vanish identically).  A gap of zero on
-    the family means the two variables are indistinguishable through those
-    moments; parameters left in an expectation are compared in norm.
+    The test monomials are every squarefree monomial in the components (for
+    odd components repeated factors vanish identically).  A gap of zero
+    means the two variables are indistinguishable through those moments;
+    parameters left in an expectation are compared in norm.
     """
     if x.dimension != y.dimension:
         raise ValueError("random variables must have equal dimension")
-    if test_family is None:
-        k = x.dimension
-        test_family = [c for size in range(1, k + 1) for c in combinations(range(1, k + 1), size)]
+    k = x.dimension
     worst = 0.0
-    for mono in test_family:
+    for mono in (c for size in range(1, k + 1) for c in combinations(range(1, k + 1), size)):
         ex = x.expect_monomial(mono)
         ey = y.expect_monomial(mono)
         if isinstance(ex, GrassmannElement) or isinstance(ey, GrassmannElement):
