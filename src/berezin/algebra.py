@@ -610,8 +610,10 @@ def grassmann_exp(a: GrassmannElement) -> GrassmannElement:
     The nilpotent part has a terminating power series, so the result is
     exact up to floating-point arithmetic; any constant term contributes an
     ordinary scalar factor.  Odd or mixed arguments are rejected because
-    their partial sums do not commute.
+    their partial sums do not commute.  Zero gives ``ONE`` at once.
     """
+    if a.is_zero():
+        return ONE
     if a.parity() is not Parity.EVEN:
         raise ValueError("grassmann_exp requires an even element")
     constant = a.constant
@@ -682,11 +684,13 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
     get = data.get
     for mi, coeff in a.items():
         if not mi & mapped:
-            value = get(mi, 0j) + coeff
-            if _kept(mi, value):
+            old = get(mi)
+            if old is None:
+                data[mi] = 0j + coeff  # a kept term's magnitude: no prune test, as in ``_add_into``
+            elif _kept(mi, value := old + coeff):
                 data[mi] = value
             else:
-                data.pop(mi, None)
+                del data[mi]
             continue
         image = images.get(mi)
         if image is not None:

@@ -30,12 +30,12 @@ from .feynman_kac import (
     ParameterError,
     closed_form_kernel,
     example_hamiltonian,
-    fk_evolve,
     fk_operator,
     kernel_extract,
     oracle_kernel,
     quartic_top_gap,
     state_variables,
+    _evolve_map,
 )
 from .verify import SUITE_NAMES, RATIO_SLACK, Check, refinement, run_suite
 from .wiener import Partition, WienerSpace, brownian_moment_rows
@@ -230,11 +230,15 @@ QUANTITIES = {
 }
 
 
-def _tracked_value(quantity: str, params: dict, steps: int) -> complex:
+def _tracked_values(quantity: str, params: dict, grids: Sequence[int]) -> list[complex]:
+    """The tracked number of ``quantity`` on the uniform grid of each size in
+    ``grids``: the Hamiltonian and its one slice map are built once, and
+    every grid is evolved through that map, so the grids share its widths."""
     name, slot, _ = QUANTITIES[quantity]
     h = example_hamiltonian(name, r=params["r"], c=params["c"], b=params["b"], lam=params["lam"])
     top = gen(h.variables[0]) * gen(h.variables[1])
-    return fk_evolve(h, top, Partition.uniform(params["t"], steps)).coefficient(slot)
+    evolve = _evolve_map(h)
+    return [evolve(top, Partition.uniform(params["t"], n)).coefficient(slot) for n in grids]
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -242,7 +246,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     params = {k: float(getattr(args, k)) for k in PARAMS}
     grids = args.n
 
-    values = [_tracked_value(quantity, params, n) for n in grids]
+    values = _tracked_values(quantity, params, grids)
     extrapolate = refinement(grids, QUANTITIES[quantity][2], values=values).extrapolate
     rows = [
         (n, params["t"] / n, quantity, v.real, v.imag, abs(v - extrapolate))
@@ -292,50 +296,70 @@ def cmd_moments(args: argparse.Namespace) -> int:
 # -- entry point ----------------------------------------------------------
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_verify)
+
+
+def _kernel_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("hamiltonian", choices=EXAMPLE_NAMES)
+    p.add_argument("--n", type=_grid_list, default="16", help="comma-separated grid sizes")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=cmd_kernel)
+
+
+def _converge_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--quantity", choices=tuple(QUANTITIES), default="ou_xx")
+    p.add_argument("--n", type=_grid_list, default="8,16,32,64", help="comma-separated grid sizes")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_converge)
+
+
+def _moments_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--times", type=_time_list, default="0.25,0.5,1.0", help="comma-separated positive times")
+    p.add_argument("--m", type=_brownian_dimension, default=2)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_moments)
+
+
+# Subcommands: name -> (help, whether it takes the Hamiltonian options, its own options).
+SUBCOMMANDS = {
+    "verify": ("run a named verification suite", False, _verify_options),
+    "kernel": ("evolution kernel vs oracle and closed form", True, _kernel_options),
+    "converge": ("refinement table with a Richardson extrapolate", True, _converge_options),
+    "moments": ("low-order path moments as a table", False, _moments_options),
+}
+
+
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name.
+
+    With ``command`` set, only that subcommand is registered.  Its help and
+    its errors read as the full parser's: the top-level usage still lists
+    every subcommand, through the metavar.  The full parser leaves the
+    metavar unset, since argparse words its "invalid choice" and "required"
+    errors from it.
+    """
     parser = argparse.ArgumentParser(
         prog="berezin",
         description="Exact anticommuting stochastic calculus and its evolution kernels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    io_options = argparse.ArgumentParser(add_help=False)
-    io_options.add_argument("--out", default=None)
-    io_options.add_argument("--config", default=None, help="JSON object of option defaults")
-    hamiltonian_options = argparse.ArgumentParser(add_help=False)
-    for key, default in PARAMS.items():
-        hamiltonian_options.add_argument(f"--{key}", type=_time if key == "t" else _finite, default=default)
-
-    p_verify = sub.add_parser("verify", parents=[io_options], help="run a named verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_kernel = sub.add_parser(
-        "kernel", parents=[io_options, hamiltonian_options], help="evolution kernel vs oracle and closed form"
-    )
-    p_kernel.add_argument("hamiltonian", choices=EXAMPLE_NAMES)
-    p_kernel.add_argument("--n", type=_grid_list, default="16", help="comma-separated grid sizes")
-    p_kernel.add_argument("--tol", type=float, default=1e-9)
-    p_kernel.add_argument("--format", choices=("json", "csv"), default="json")
-    p_kernel.set_defaults(func=cmd_kernel)
-
-    p_conv = sub.add_parser(
-        "converge", parents=[io_options, hamiltonian_options], help="refinement table with a Richardson extrapolate"
-    )
-    p_conv.add_argument("--quantity", choices=tuple(QUANTITIES), default="ou_xx")
-    p_conv.add_argument("--n", type=_grid_list, default="8,16,32,64", help="comma-separated grid sizes")
-    p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_conv.set_defaults(func=cmd_converge)
-
-    p_mom = sub.add_parser("moments", parents=[io_options], help="low-order path moments as a table")
-    p_mom.add_argument("--times", type=_time_list, default="0.25,0.5,1.0", help="comma-separated positive times")
-    p_mom.add_argument("--m", type=_brownian_dimension, default=2)
-    p_mom.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_mom.set_defaults(func=cmd_moments)
-
+    for name, (help_text, hamiltonian, add_options) in SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default=None)
+        p.add_argument("--config", default=None, help="JSON object of option defaults")
+        if hamiltonian:
+            for key, default in PARAMS.items():
+                p.add_argument(f"--{key}", type=_time if key == "t" else _finite, default=default)
+        add_options(p)
     return parser, sub.choices
 
 
@@ -358,7 +382,10 @@ def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Only the named subcommand's parser is built; help, no arguments and an
+    # unknown command get the full parser.
+    parser, commands = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -367,7 +394,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise SystemExit("the config file must hold a JSON object")
         # The file's entries go in as flags ahead of the given ones, so they
         # are checked like flags and a given flag still wins.
-        argv = list(sys.argv[1:] if argv is None else argv)
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_flags(commands[args.command], config) + argv[at:])
     try:

@@ -336,22 +336,25 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     E[f(u + xi)] = sum_k ((-dt)^k / k!) (G^k f)(u), with G = (1/2) g^{kj} d_j d_k
     the second-order part of H, its coefficients frozen at x; so no
     increment generator is ever built and the cost is linear in the slice
-    count.  Slices N ... 1 go in turn through ``h``'s one slice map
-    (``_slice_map``), which builds each distinct width's images once.
+    count.  Slices N ... 1 go in turn through one slice map of ``h``
+    (``_slice_map``), built for this call, which builds each distinct
+    width's images once.  A caller that evolves several inputs or grids of
+    one ``h`` shares one map through ``_evolve_map``, as ``converge`` does.
     Generators of ``f`` outside ``h.variables`` are parameters: they ride
     along, never mapped or differentiated.  Exact when drift and potential
     vanish; first-order accurate in the mesh otherwise.  ``f`` must not
     hold increment generators.
     """
-    return _evolve_map(h, partition)(f)
+    return _evolve_map(h)(f, partition)
 
 
-def _evolve_map(h: HamiltonianSpec, partition: Partition) -> Callable[[GrassmannElement], GrassmannElement]:
-    """``fk_evolve(h, ., partition)`` as a map of f: ``h``'s slice map is built
-    once and shared, with its per-width images, by every input the map takes."""
+def _evolve_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, Partition], GrassmannElement]:
+    """``fk_evolve(h, ., .)`` as a map of (f, partition): ``h``'s slice map is
+    built once and shared, with its per-width images, by every input and
+    every partition the map takes; it lives as long as the map."""
     step = _slice_map(h)
 
-    def evolve(f: GrassmannElement) -> GrassmannElement:
+    def evolve(f: GrassmannElement, partition: Partition) -> GrassmannElement:
         _reject_increments("fk_evolve's input", f)
         for r in range(partition.steps, 0, -1):
             f = step(f, partition.delta(r))
@@ -374,7 +377,11 @@ def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], Grassm
     Phi(theta eta_S) = theta Phi(eta_S).  g is contracted once and each
     key's pairs are listed once; u, the weight and each X(u) and Phi(X)
     are built once per width, on first use, and shared by every input the
-    returned map steps.
+    returned map steps, at any width.  These caches live in the returned
+    map and end with it: nothing is cached on ``h`` or in the module, so
+    each caller that builds a map (one ``fk_evolve`` or ``fk_operator``
+    call, one ``converge`` report over all its grids) pays for its own
+    widths.
     """
     g = _second_order_table(h)
     symbols = [gen(v) for v in h.variables]
@@ -452,8 +459,11 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
         return operator_matrix(lambda f: step(f, dt), h.variables).matrix
 
     product = width(partition.delta(partition.steps))
-    for r in range(partition.steps - 1, 0, -1):
-        product = width(partition.delta(r)) @ product
+    # Warnings off, as in ``_expm``: an overflow leaves inf or NaN entries,
+    # and ``kernel_extract`` refuses a NaN coefficient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(partition.steps - 1, 0, -1):
+            product = width(partition.delta(r)) @ product
     return OperatorMatrix(product, h.variables)
 
 

@@ -187,11 +187,12 @@ def isometry_residual(c: AdaptedMatrix, i: int, j: int) -> float:
     Z_i.  The identity holds exactly on every fixed grid, not only in the
     mesh limit, so the return value is pure floating-point noise.
     """
-    return _isometry_gap(c, ito_integral(c), i, j)
+    return _isometry_gap(c, ito_integral(c), BrownianMotion(c.space, c.partition), i, j)
 
 
-def _isometry_gap(c: AdaptedMatrix, z: AdaptedProcess, i: int, j: int) -> float:
-    """``isometry_residual`` of ``c`` given its integral ``z = ito_integral(c)``."""
+def _isometry_gap(c: AdaptedMatrix, z: AdaptedProcess, motion: BrownianMotion, i: int, j: int) -> float:
+    """``isometry_residual`` of ``c`` given its integral ``z = ito_integral(c)``
+    and the motion of ``c``'s space and partition, which the caller may share."""
     space, partition = c.space, c.partition
     z_i, z_j = z.final[i], z.final[j]
     parities = (z_i.parity(), z_j.parity())
@@ -199,7 +200,6 @@ def _isometry_gap(c: AdaptedMatrix, z: AdaptedProcess, i: int, j: int) -> float:
         raise ValueError("isometry requires integrals of definite parity")
     sign = -1.0 if z_i.parity() is Parity.ODD else 1.0
 
-    motion = BrownianMotion(space, partition)
     lhs = motion.expect_product(z_i, z_j)
     rhs: dict[MultiIndex, complex] = {}
     for r in range(1, partition.steps + 1):

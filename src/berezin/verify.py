@@ -447,7 +447,7 @@ def ito_suite(seed: int = 2024) -> list[Check]:
             values.append((row_i, row_j))
         matrix = AdaptedMatrix(space, part, tuple(values))
         z = ito_integral(matrix)
-        worst_iso = max(worst_iso, _isometry_gap(matrix, z, 0, 1))
+        worst_iso = max(worst_iso, _isometry_gap(matrix, z, grid_motion, 0, 1))
         for comp in z.final:
             expected = grid_motion.expect_element(comp)
             worst_mean = max(worst_mean, expected.norm())
@@ -457,8 +457,9 @@ def ito_suite(seed: int = 2024) -> list[Check]:
     part = Partition.uniform(1.0, 4)
     canonical = AdaptedMatrix.constant(space, part, [[1.0, 0.0], [0.0, 1.0]])
     z = ito_integral(canonical)
-    lhs = BrownianMotion(space, part).expect_product(z.final[0], z.final[1]).scalar_value()
-    residual = _isometry_gap(canonical, z, 0, 1)
+    motion = BrownianMotion(space, part)
+    lhs = motion.expect_product(z.final[0], z.final[1]).scalar_value()
+    residual = _isometry_gap(canonical, z, motion, 0, 1)
     checks.append(Check("worked isometry example, E[Z1 Z2] = t", abs(lhs - 1.0), EXACT))
     checks.append(Check("worked isometry example, residual", residual, IDENTITY))
 
@@ -653,11 +654,12 @@ def feynman_kac_suite() -> list[Check]:
     engines = 0.0
     for name in EXAMPLE_NAMES:
         h = example_hamiltonian(name, lam=0.7)
+        evolve = _evolve_map(h)
         for steps in (1, 2, 4):
             part = Partition.uniform(1.0, steps)
-            evolve, bruteforce = _evolve_map(h, part), _bruteforce_map(h, part)
+            bruteforce = _bruteforce_map(h, part)
             for f in basis:
-                engines = max(engines, (evolve(f) - bruteforce(f)).norm())
+                engines = max(engines, (evolve(f, part) - bruteforce(f)).norm())
     checks.append(Check("transfer-operator engine equals the joint engine", engines, IDENTITY))
 
     semigroup = 0.0

@@ -87,6 +87,7 @@ def test_zero_counts_as_both_parities():
 
 def test_exp_of_zero_is_one():
     assert grassmann_exp(ZERO) == ONE
+    assert grassmann_exp(-0.7 * ZERO) is ONE  # a slice weight of a zero potential
 
 
 def test_exp_of_a_single_even_monomial_truncates():

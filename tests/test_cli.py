@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from berezin.cli import main
+from berezin.algebra import gen
+from berezin.cli import PARAMS, QUANTITIES, SUBCOMMANDS, build_parser, main
+from berezin.feynman_kac import example_hamiltonian, fk_evolve
+from berezin.wiener import Partition
 
 
 def run_cli(capsys, *argv):
@@ -330,15 +333,33 @@ def test_kernel_whose_exponential_overflows_exits_2_and_names_the_options(capsys
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("rate", ("1e160", "1e100"))
-def test_converge_whose_grid_values_overflow_exits_2_and_names_the_options(capsys, rate):
+@pytest.mark.parametrize(
+    "rate, grids", (("1e160", "1,2,4"), ("1e100", "1,2,4"), ("1e160", "1")), ids=("1e160", "1e100", "1e160-n1")
+)
+def test_converge_whose_grid_values_overflow_exits_2_and_names_the_options(capsys, rate, grids):
     # (1 - r dt)^2 overflowed in the slice map, the weight product made the
     # term NaN and the prune dropped it: --r 1e160 printed 1.0, 0.5 and 0.25,
-    # --r 1e100 printed 1.0, 1.25e199 and 0.0, and both exited 0.
+    # --r 1e100 printed 1.0, 1.25e199 and 0.0, and both exited 0.  The weight
+    # of a zero potential is 1, but skipping its product printed 1.0 for
+    # --n 1 --r 1e160.
     with pytest.raises(SystemExit) as exit_info:
-        main(["converge", "--quantity", "ou_xx", "--n", "1,2,4", "--r", rate])
+        main(["converge", "--quantity", "ou_xx", "--n", grids, "--r", rate])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
+    assert "non-finite coefficient (nan+nanj) of the monomial η[1]η[2]" in captured.err
+    assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
+    assert captured.out == ""
+
+
+def test_kernel_whose_slice_product_overflows_exits_2_with_only_the_refusal(capsys):
+    # The matmul chain of fk_operator overflowed with numpy RuntimeWarnings
+    # ahead of the refusal; under warnings-as-errors it crashed with exit 1.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "quartic", "--n", "1,2", "--b", "1e160"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: berezin kernel ")
+    assert "Warning" not in captured.err
     assert "non-finite coefficient (nan+nanj) of the monomial η[1]η[2]" in captured.err
     assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
     assert captured.out == ""
@@ -359,3 +380,93 @@ def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):
         main(["moments", "--m", "10"])
     assert exit_info.value.code == 2
     assert "from 2 to 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quantity", tuple(QUANTITIES))
+def test_converge_values_are_a_fresh_fk_evolve_per_grid(capsys, quantity):
+    # converge evolves every grid through one slice map; the values must be
+    # those of a fresh fk_evolve per grid, bit for bit, on grids that share
+    # widths with no other grid and at a t whose slice widths are not dyadic.
+    params = {**PARAMS, "t": 0.7, "r": 0.9, "c": 1.1, "b": 0.6, "lam": 0.3}
+    grids = (3, 5, 12, 20)
+    argv = ["converge", "--quantity", quantity, "--n", ",".join(map(str, grids)), "--format", "json"]
+    code, out = run_cli(capsys, *argv, *(f"--{key}={value!r}" for key, value in params.items()))
+    assert code == 0
+    name, slot, _ = QUANTITIES[quantity]
+    h = example_hamiltonian(name, r=params["r"], c=params["c"], b=params["b"], lam=params["lam"])
+    top = gen(h.variables[0]) * gen(h.variables[1])
+    fresh = [fk_evolve(h, top, Partition.uniform(params["t"], n)).coefficient(slot) for n in grids]
+    assert repr(json.loads(out)["values"]) == repr([[v.real, v.imag] for v in fresh])
+
+
+@pytest.mark.parametrize("command", tuple(SUBCOMMANDS))
+def test_the_one_subcommand_parser_has_the_full_parsers_help_and_usage(command):
+    full, full_commands = build_parser()
+    one, one_commands = build_parser(command)
+    assert list(one_commands) == [command]
+    assert one_commands[command].format_help() == full_commands[command].format_help()
+    assert one.format_usage() == full.format_usage()
+
+
+# Help and error paths of argv that names a subcommand, which main parses
+# with that subcommand's parser alone.
+HELP_AND_ERRORS = (
+    ["verify", "--help"],
+    ["kernel", "-h"],
+    ["converge", "-h"],
+    ["moments", "-h"],
+    ["converge", "--bogus", "1"],
+    ["kernel", "flat", "--bogus"],
+    ["verify", "algebra", "extra"],
+    ["converge", "verify"],
+    ["verify"],
+    ["kernel"],
+    ["kernel", "bogus"],
+    ["converge", "--quantity", "bogus"],
+    ["converge", "--n", "2,1"],
+    ["converge", "--n"],
+    ["moments", "--m", "3"],
+    ["verify", "--seed", "x", "all"],
+    ["kernel", "flat", "--format", "xml"],
+)
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
+def test_the_one_subcommand_parser_answers_as_the_full_parser(capsys, argv):
+    outcomes = []
+    for command in (None, argv[0]):
+        parser, _ = build_parser(command)
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        outcomes.append((exit_info.value.code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_an_unrecognized_argument_prints_the_full_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["converge", "--bogus", "1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: berezin [-h] {verify,kernel,converge,moments} ...\n"
+        "berezin: error: unrecognized arguments: --bogus 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    (
+        ([], 2, "berezin: error: the following arguments are required: command"),
+        (["conv"], 2, "berezin: error: argument command: invalid choice: 'conv'"),
+        (["-h"], 0, "  {verify,kernel,converge,moments}"),
+    ),
+    ids=("none", "unknown", "help"),
+)
+def test_help_and_an_unknown_command_get_the_full_parser(capsys, argv, code, line):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert line in captured.out + captured.err
+    if argv == ["-h"]:
+        assert all(help_text in captured.out for help_text, _, _ in SUBCOMMANDS.values())

@@ -402,11 +402,11 @@ def test_one_evolution_map_serves_every_input_as_fk_evolve_does():
         h = example_hamiltonian(name, lam=0.7)
         inputs = basis_elements(h.variables)
         inputs = inputs[::-1] + [theta * TOP + 0.5 * X2, (1 - 2j) * X1 + theta] + inputs
-        evolve = feynman_kac._evolve_map(h, partition)
+        evolve = feynman_kac._evolve_map(h)
         for f in inputs:
-            assert repr(list(evolve(f).items())) == repr(list(fk_evolve(h, f, partition).items())), (name, f)
+            assert repr(list(evolve(f, partition).items())) == repr(list(fk_evolve(h, f, partition).items())), (name, f)
         with pytest.raises(ValueError, match="increment"):
-            evolve(TOP + gen(increment(1, 1)) * gen(increment(1, 2)))
+            evolve(TOP + gen(increment(1, 1)) * gen(increment(1, 2)), partition)
 
 
 @pytest.mark.parametrize("slice_index", [1, 2])

@@ -17,7 +17,7 @@ from berezin.stochastic import (
     picard_solve,
     solve_sde,
 )
-from berezin.cli import PARAMS, _tracked_value
+from berezin.cli import PARAMS, _tracked_values
 from berezin.verify import refinement
 from berezin.wiener import BrownianMotion, Partition, WienerSpace
 
@@ -281,7 +281,7 @@ def test_ou_second_moment_is_the_discrete_geometric_sum(rate, noise, t, steps):
     # the value `converge --quantity ou_xx` reports, by the Feynman-Kac transfer
     dt = t / steps
     exact = noise**2 * dt * sum((1 - rate * dt) ** (2 * k) for k in range(steps))
-    value = _tracked_value("ou_xx", {**PARAMS, "r": rate, "c": noise, "t": t}, steps)
+    (value,) = _tracked_values("ou_xx", {**PARAMS, "r": rate, "c": noise, "t": t}, (steps,))
     assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
