@@ -30,12 +30,12 @@ from .feynman_kac import (
     ParameterError,
     closed_form_kernel,
     example_hamiltonian,
-    fk_operator,
     kernel_extract,
     oracle_kernel,
     quartic_top_gap,
     state_variables,
     _evolve_map,
+    _operator_map,
 )
 from .verify import SUITE_NAMES, RATIO_SLACK, Check, refinement, run_suite
 from .wiener import Partition, WienerSpace, brownian_moment_rows
@@ -162,7 +162,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     except ValueError as exc:  # -tH too large for the operator exponential
         raise ParameterError("t", _lower_the_options(exc)) from None
     closed = closed_form_kernel(name, t, **params)
-    fk_kernels = [kernel_extract(fk_operator(h, Partition.uniform(t, n))) for n in grids]
+    operator = _operator_map(h)  # one slice map, and its matrix per width, for every grid
+    fk_kernels = [kernel_extract(operator(Partition.uniform(t, n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]
     oracle_vs_closed = float((oracle.body - closed.body).norm())

@@ -450,7 +450,23 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
     M_r is that slice's ``fk_evolve`` image bit for bit.  Since
     ``fk_evolve`` applies slice N first, the product is accumulated from the
     right, M_r times the product of the later slices, as the evolution
-    applies them to a column.
+    applies them to a column.  The map is built for this call; a caller
+    that builds operators of one ``h`` on several grids shares one through
+    ``_operator_map``, as ``kernel`` does.
+    """
+    return _operator_map(h)(partition)
+
+
+def _operator_map(h: HamiltonianSpec) -> Callable[[Partition], OperatorMatrix]:
+    """``fk_operator(h, .)`` as a map of the partition: ``h``'s slice map and
+    its matrix per width are built once and shared by every partition the
+    map takes; they live as long as the map.
+
+    Each slice's matrix is looked up once, by its own width b - a (the float
+    ``Partition.delta`` gives), and the list is chained right to left with
+    ``ndarray.dot``, which gives ``@``'s bits at a lower cost per call on
+    these small matrices.  A one-slice partition gets a copy, so no caller
+    holds a cached matrix.
     """
     step = _slice_map(h)
 
@@ -458,13 +474,18 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
     def width(dt: float) -> np.ndarray:
         return operator_matrix(lambda f: step(f, dt), h.variables).matrix
 
-    product = width(partition.delta(partition.steps))
-    # Warnings off, as in ``_expm``: an overflow leaves inf or NaN entries,
-    # and ``kernel_extract`` refuses a NaN coefficient.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(partition.steps - 1, 0, -1):
-            product = width(partition.delta(r)) @ product
-    return OperatorMatrix(product, h.variables)
+    def operator(partition: Partition) -> OperatorMatrix:
+        nodes = partition.nodes
+        slices = [width(b - a) for a, b in zip(nodes, nodes[1:])]
+        product = slices.pop().copy()
+        # Warnings off, as in ``_expm``: an overflow leaves inf or NaN entries,
+        # and ``kernel_extract`` refuses a NaN coefficient.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in reversed(slices):
+                product = m.dot(product)
+        return OperatorMatrix(product, h.variables)
+
+    return operator
 
 
 def fk_bruteforce(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> GrassmannElement:
@@ -507,7 +528,10 @@ def kernel_extract(
     argument gets the fresh set ``in_variables``.  Solved columnwise: the
     contraction against a basis monomial keeps only the complementary
     kernel monomial, up to the reordering sign of complement times
-    monomial, which this routine divides back out.
+    monomial, which this routine divides back out.  The products of output
+    monomial and complement and the signs come from ``_kernel_table``,
+    built once per pair of variable tuples; the entries are read from one
+    ``tolist`` of the matrix.
     """
     n = len(op.variables)
     if in_variables is None:
@@ -515,19 +539,34 @@ def kernel_extract(
     in_vars = tuple(in_variables)
     if len(in_vars) != n or set(in_vars) & set(op.variables):
         raise ValueError("integrated variables must be fresh and match the dimension")
-    out_monos = basis_elements(op.variables)
-    in_keys, _ = _basis_keys(in_vars)
-    full = in_keys[-1]
+    entries = op.matrix.tolist()
     body: dict[MultiIndex, complex] = {}
-    for col, key in enumerate(in_keys):
-        comp_mono = GrassmannElement({full ^ key: 1.0})
-        sign = (comp_mono * GrassmannElement({key: 1.0}))._terms[full]
-        for row, out_mono in enumerate(out_monos):
-            u = complex(op.matrix[row, col])
-            if u == 0:
-                continue
-            _add_into(body, (out_mono * comp_mono)._terms, u / sign)
+    for col, (sign, products) in enumerate(_kernel_table(op.variables, in_vars)):
+        for row, product in enumerate(products):
+            u = entries[row][col]
+            if u != 0:
+                _add_into(body, product, u / sign)
     return SupersmoothFunction(GrassmannElement._wrap(body), op.variables + in_vars)
+
+
+@cache
+def _kernel_table(
+    out_variables: tuple[GeneratorId, ...], in_variables: tuple[GeneratorId, ...]
+) -> tuple[tuple[complex, tuple[Mapping[MultiIndex, complex], ...]], ...]:
+    """Per basis monomial of ``in_variables`` (the column), the reordering
+    sign of complement times monomial and, per basis monomial of
+    ``out_variables`` (the row), the terms of output monomial times
+    complement: ``kernel_extract``'s products, each made once per pair of
+    variable tuples.  Read-only throughout, as ``_basis_keys`` is."""
+    out_monos = basis_elements(out_variables)
+    in_keys, _ = _basis_keys(in_variables)
+    full = in_keys[-1]
+    table = []
+    for key in in_keys:
+        complement = GrassmannElement({full ^ key: 1.0})
+        sign = (complement * GrassmannElement({key: 1.0}))._terms[full]
+        table.append((sign, tuple(MappingProxyType((out * complement)._terms) for out in out_monos)))
+    return tuple(table)
 
 
 def oracle_kernel(h: HamiltonianSpec, t: float) -> SupersmoothFunction:

@@ -355,7 +355,8 @@ def picard_solve(
     stationary_depth: int | None = None
     previous_rv: RandomVariable | None = None
     if compute_mu:
-        previous_rv = AdaptedProcess(space, partition, tuple(current)).random_variable()
+        motion = BrownianMotion(space, partition)  # one motion, and its slice densities, for every pass
+        previous_rv = RandomVariable(motion, AdaptedProcess(space, partition, tuple(current)).final)
 
     for k in range(1, steps + 3):
         nxt: list[tuple[GrassmannElement, ...]] = [tuple(spec.initial)]
@@ -365,7 +366,7 @@ def picard_solve(
         differences.append(moved)
         current = nxt
         if compute_mu:
-            rv = AdaptedProcess(space, partition, tuple(current)).random_variable()
+            rv = RandomVariable(motion, current[-1])
             mu_list.append(mu_distance(rv, previous_rv))
             previous_rv = rv
         if moved == 0.0:

@@ -6,7 +6,8 @@ import pytest
 
 from berezin.algebra import gen
 from berezin.cli import PARAMS, QUANTITIES, SUBCOMMANDS, build_parser, main
-from berezin.feynman_kac import example_hamiltonian, fk_evolve
+from berezin import feynman_kac
+from berezin.feynman_kac import example_hamiltonian, fk_evolve, fk_operator
 from berezin.wiener import Partition
 
 
@@ -470,3 +471,22 @@ def test_help_and_an_unknown_command_get_the_full_parser(capsys, argv, code, lin
     assert line in captured.out + captured.err
     if argv == ["-h"]:
         assert all(help_text in captured.out for help_text, _, _ in SUBCOMMANDS.values())
+
+
+def test_kernel_builds_one_slice_map_per_call(capsys, monkeypatch):
+    # kernel runs every grid through one operator map, as converge runs its
+    # grids through one evolution map; the shared map's operators are a
+    # fresh fk_operator's bit for bit.
+    builds = []
+    build = feynman_kac._slice_map
+    monkeypatch.setattr(feynman_kac, "_slice_map", lambda h: builds.append(h) or build(h))
+    code, _ = run_cli(capsys, "kernel", "ou", "--n", "8,16,32", "--format", "json")
+    assert code == 0
+    assert len(builds) == 1
+    monkeypatch.undo()
+    h = example_hamiltonian("ou")
+    operator = feynman_kac._operator_map(h)
+    for t in (1.0, 0.7):
+        for n in (8, 16, 32):
+            partition = Partition.uniform(t, n)
+            assert operator(partition).matrix.tobytes() == fk_operator(h, partition).matrix.tobytes(), (t, n)

@@ -162,6 +162,37 @@ def test_kernel_extract_matches_the_per_call_construction(n):
     assert _exact(default.body) == _exact(want)
 
 
+def test_kernel_extract_refuses_bad_integrated_variables_on_every_call():
+    from berezin.feynman_kac import OperatorMatrix
+
+    op = OperatorMatrix(np.eye(4, dtype=complex), SV)
+    for in_vars in ((KV[0], SV[1]), KV[:1], KV + (eta(3, set_index=1),)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="fresh and match the dimension"):
+                kernel_extract(op, in_vars)
+
+
+def test_the_kernel_table_is_keyed_by_both_variable_tuples_and_read_only():
+    from berezin.feynman_kac import OperatorMatrix
+
+    rng = np.random.default_rng(21)
+    matrix = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    below, middle, above = (tuple(eta(j, set_index=s) for j in (1, 2, 3)) for s in (0, 2, 3))
+    # Each operator against two fresh sets, and each set against two
+    # operators' variables, sorting below and above them, so the products
+    # carry different signs.
+    for out_vars in (kernel_variables(3), above):
+        op = OperatorMatrix(matrix, out_vars)
+        for in_vars in (below, middle):
+            for _ in range(2):
+                kernel = kernel_extract(op, in_vars)
+                assert _exact(kernel.body) == _exact(_kernel_extract_per_call(op, in_vars))
+                kernel.body._terms.clear()  # the body is the caller's, not the table's
+    _, products = feynman_kac._kernel_table(above, below)[1]
+    with pytest.raises(TypeError):
+        products[0][next(iter(products[0]))] = 0j
+
+
 @pytest.mark.parametrize(
     "variables", [(eta(1), eta(1)), (eta(1), eta(2), eta(1)), (eta(1), eta(9))], ids=["repeat", "late-repeat", "cap"]
 )
@@ -619,7 +650,11 @@ def test_two_pair_terms_match_the_increment_route(m):
     assert gap <= 1e-12 * max(1.0, got.norm())
 
 
-@pytest.mark.parametrize("partition", [Partition.uniform(1.0, 16), Partition((0.0, 0.25, 0.5, 0.6, 1.0))])
+# The widths t*i/N - t*(i-1)/N of the non-dyadic uniform grid differ by
+# ulps, so one width per grid, or a chain whose bits differ from @, fails.
+@pytest.mark.parametrize(
+    "partition", [Partition.uniform(1.0, 16), Partition((0.0, 0.25, 0.5, 0.6, 1.0)), Partition.uniform(0.7, 64)]
+)
 @pytest.mark.parametrize("name", EXAMPLE_NAMES + ("random",))
 def test_operator_columns_are_the_evolved_basis_monomials(name, partition):
     # One-slice operators hold the fk_evolve images exactly; a longer
@@ -639,10 +674,21 @@ def test_operator_columns_are_the_evolved_basis_monomials(name, partition):
     for m in reversed(slices[:-1]):
         product = m @ product
     op = fk_operator(h, partition)
-    assert (op.matrix == product).all()
+    assert op.matrix.tobytes() == product.tobytes()
     for col, f in enumerate(basis):
         want = element_coordinates(fk_evolve(h, f, partition), h.variables)
         assert np.abs(op.matrix[:, col] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), col
+
+
+def test_an_operator_map_hands_out_no_cached_matrix():
+    # The map's per-width matrices outlive one partition: a caller that
+    # writes into a one-slice operator must not change the next operator.
+    operator = feynman_kac._operator_map(example_hamiltonian("ou"))
+    one_slice, two_slices = Partition((0.0, 0.3)), Partition((0.0, 0.3, 0.6))
+    want_one, want_two = operator(one_slice).matrix.copy(), operator(two_slices).matrix.copy()
+    operator(one_slice).matrix[:] = 7.0
+    assert operator(one_slice).matrix.tobytes() == want_one.tobytes()
+    assert operator(two_slices).matrix.tobytes() == want_two.tobytes()
 
 
 def test_operator_contracts_the_second_order_coefficients_once(monkeypatch):

@@ -136,6 +136,19 @@ def test_mu_diagnostics_decay_to_zero():
     assert result.mu_diagnostics[-1] == 0.0
 
 
+def test_mu_diagnostics_build_each_slice_density_once(monkeypatch):
+    # One motion serves every pass's moment gap, so each slice's density is
+    # built once, not once per pass.
+    from berezin import wiener
+
+    builds = []
+    build = wiener._slice_density
+    monkeypatch.setattr(wiener, "_slice_density", lambda ids, t: builds.append(t) or build(ids, t))
+    result = picard_solve(ou_spec(), SPACE, Partition.uniform(1.0, 5), compute_mu=True)
+    assert len(result.mu_diagnostics) > 1
+    assert len(builds) == 5
+
+
 def test_ou_mean_matches_the_discrete_decay_and_its_limit():
     rate = 1.0
     for steps in (8, 16, 32):
