@@ -45,7 +45,6 @@ __all__ = [
     "norm",
     "parity",
     "substitute",
-    "PRUNE",
     "element_to_json",
     "element_from_json",
 ]
@@ -112,32 +111,23 @@ AUXILIARY_SETS = 16  # auxiliary sets, in the bytes after the variable sets
 _FIXED_SETS = VARIABLE_SETS + AUXILIARY_SETS  # the bytes below increment slice 0
 _INCREMENT_SHIFT = COMPONENT_CAP * _FIXED_SETS  # the first bit of increment slice 0
 
-# Coefficients below this magnitude are dropped after every operation,
-# which keeps long operator products sparse.
-PRUNE = 1e-14
-
 
 class NonFiniteCoefficient(ValueError):
-    """A NaN coefficient where the prune would drop a term: an input or an
-    intermediate overflowed, and dropping the term would leave a plausible
-    wrong result.  An infinite coefficient passes the prune and stays."""
-
-
-def _refuse_nan(mi: MultiIndex, c: complex) -> None:
-    """Raise ``NonFiniteCoefficient`` if ``c``, a coefficient the prune is
-    dropping, is NaN: a NaN fails every comparison, so the prune test would
-    drop it.  Called only by ``_kept``, on its drop branch."""
-    if c != c:
-        symbols = "".join(_generator_symbol(g) for g in index_generators(mi)) or "1"
-        raise NonFiniteCoefficient(f"non-finite coefficient {c} of the monomial {symbols}")
+    """A NaN coefficient: an input or an intermediate overflowed, and
+    dropping the term would leave a plausible wrong result.  An infinite
+    coefficient is kept and stays visible."""
 
 
 def _kept(mi: MultiIndex, c: complex) -> bool:
-    """The prune rule, the one test of it: whether the term ``c`` on ``mi``
-    is kept (``abs(c) >= PRUNE``).  A term it drops must not be NaN."""
-    if abs(c) >= PRUNE:
+    """The keep rule, the one test of it: whether the term ``c`` on ``mi``
+    is kept.  A term is kept exactly when ``abs(c) > 0``, so only an exact
+    zero is dropped.  A NaN fails that comparison and is refused with
+    ``NonFiniteCoefficient`` rather than dropped."""
+    if abs(c) > 0.0:
         return True
-    _refuse_nan(mi, c)
+    if c != c:
+        symbols = "".join(_generator_symbol(g) for g in index_generators(mi)) or "1"
+        raise NonFiniteCoefficient(f"non-finite coefficient {c} of the monomial {symbols}")
     return False
 
 
@@ -292,7 +282,7 @@ def _paired_product(left: dict[MultiIndex, complex], right: dict[MultiIndex, com
 
 def _generator_product(b: MultiIndex, k: complex, terms: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
     """The terms of ``_product({b: k}, terms)`` for a one-bit key ``b``,
-    pruned as ``*`` prunes them, in closed form.
+    in closed form, less the zero terms that ``*`` drops.
 
     A term c X with X & b = 0 goes to X | b with the sign
     (-1)^popcount(X & (b - 1)) of moving b past the generators of X below
@@ -312,16 +302,16 @@ def _generator_product(b: MultiIndex, k: complex, terms: Mapping[MultiIndex, com
 
 
 def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, complex], factor: Scalar | None = None) -> None:
-    """Add the terms of a pruned element, times ``factor`` when given, into
+    """Add the terms of an element, times ``factor`` when given, into
     ``data`` in place: the sum rule of every element accumulation.
 
-    ``data`` must hold no coefficient below the prune threshold.  Each
-    addend term is first scaled and pruned as ``factor * element`` would
-    scale and prune it, then added as ``+`` adds it.  Only a sum with a
-    value ``data`` already held can fall below the prune (a new key holds
-    0j + c, of the kept term's magnitude), so only those sums are pruned,
-    each as it is made; an addend holds each key once, so that leaves the
-    keys in the order of ``+``'s one prune after the sum.  ``data`` ends up
+    ``data`` must hold no zero coefficient.  Each addend term is first
+    scaled as ``factor * element`` would scale it, and dropped if that
+    gives zero, then added as ``+`` adds it.  Only a sum with a value
+    ``data`` already held can cancel to zero (a new key holds 0j + c, a
+    kept term's magnitude), so only those sums are tested, each as it is
+    made; an addend holds each key once, so that leaves the keys in the
+    order of ``+``'s one test after the sum.  ``data`` ends up
     as ``element + factor * addend`` would hold it, key order, rounding and
     signs of zero included, without the copy of the accumulator that each
     ``+`` makes.
@@ -342,7 +332,7 @@ def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, comple
 def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
     """``(x - y).norm()`` bit for bit, without building -y, the copy of x or
     the sum: the magnitudes are summed in the order of that sum's keys, x's
-    keys first, each with its difference unless the prune drops it, then
+    keys first, each with its difference unless it is zero, then
     the keys only in y, in y's order."""
     left, right = x._terms, y._terms
 
@@ -380,18 +370,19 @@ class GrassmannElement:
     @classmethod
     def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
-        ``__init__`` without its copy of every term when nothing is pruned.
-        The scan is the prune test run at C speed; only when it finds a term
-        to drop does ``_kept`` filter the terms, refusing a NaN."""
-        if not all(map(PRUNE.__le__, map(abs, data.values()))):
+        ``__init__`` without its copy of every term when none is zero.
+        The scan is the keep test run at C speed (a float's ``__lt__``,
+        which is False on NaN); only when it finds a term to drop does
+        ``_kept`` filter the terms, refusing a NaN."""
+        if not all(map(0.0.__lt__, map(abs, data.values()))):
             data = {mi: c for mi, c in data.items() if _kept(mi, c)}
         return cls._wrap(data)
 
     @classmethod
     def _wrap(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients
-        none of which lies below the prune threshold (as ``_add_into`` leaves
-        it): no copy and no scan."""
+        none of which is zero (as ``_add_into`` leaves it): no copy and no
+        scan."""
         element = cls.__new__(cls)
         element._terms = data
         return element
@@ -675,9 +666,9 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
     Two kinds of term go straight into the sum: a term with no mapped
     generator, and a term c X_b whose key is one mapped bit b.  The latter
     adds, for each term v of b's image, the value ``0j + (1 * c) * v`` that
-    ``c * image`` gives it, unless the product's prune would drop it; its
-    keys are the image's, so each is added and pruned once, as
-    ``_add_into`` adds and prunes it.
+    ``c * image`` gives it, unless that product is zero; its keys are the
+    image's, so each is added and tested once, as ``_add_into`` adds and
+    tests it.
     """
     mapped = reduce(or_, images, 0)
     data: dict[MultiIndex, complex] = {}
@@ -686,7 +677,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
         if not mi & mapped:
             old = get(mi)
             if old is None:
-                data[mi] = 0j + coeff  # a kept term's magnitude: no prune test, as in ``_add_into``
+                data[mi] = 0j + coeff  # a kept term's magnitude: no test, as in ``_add_into``
             elif _kept(mi, value := old + coeff):
                 data[mi] = value
             else:

@@ -63,6 +63,15 @@ def _lower_the_options(exc: ValueError) -> str:
     return f"{exc}: lower --t or the Hamiltonian options ({options})"
 
 
+def _grid(t: float, n: int) -> Partition:
+    """The uniform grid of ``n`` slices on [0, t]; where its nodes overflow
+    or collapse, a ``ParameterError`` that names --t and --n."""
+    try:
+        return Partition.uniform(t, n)
+    except ValueError as exc:
+        raise ParameterError("t", f"{exc} on the uniform grid of {n} slices up to {t!r}: change --t or --n") from None
+
+
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -163,7 +172,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         raise ParameterError("t", _lower_the_options(exc)) from None
     closed = closed_form_kernel(name, t, **params)
     operator = _operator_map(h)  # one slice map, and its matrix per width, for every grid
-    fk_kernels = [kernel_extract(operator(Partition.uniform(t, n))) for n in grids]
+    fk_kernels = [kernel_extract(operator(_grid(t, n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]
     oracle_vs_closed = float((oracle.body - closed.body).norm())
@@ -239,7 +248,7 @@ def _tracked_values(quantity: str, params: dict, grids: Sequence[int]) -> list[c
     h = example_hamiltonian(name, r=params["r"], c=params["c"], b=params["b"], lam=params["lam"])
     top = gen(h.variables[0]) * gen(h.variables[1])
     evolve = _evolve_map(h)
-    return [evolve(top, Partition.uniform(params["t"], n)).coefficient(slot) for n in grids]
+    return [evolve(top, _grid(params["t"], n)).coefficient(slot) for n in grids]
 
 
 def cmd_converge(args: argparse.Namespace) -> int:

@@ -116,10 +116,6 @@ class AdaptedProcess:
             out.append(parities.pop() if parities else Parity.EVEN)
         return tuple(out)
 
-    def random_variable(self) -> RandomVariable:
-        """The process's value at the last node."""
-        return RandomVariable(BrownianMotion(self.space, self.partition), self.values[-1])
-
 
 @dataclass(frozen=True)
 class AdaptedMatrix:
@@ -328,16 +324,13 @@ def picard_solve(
     """Iterate the integral map of the SDE towards its grid fixed point.
 
     Each pass rebuilds the process from the previous iterate's integrands.
-    ``differences`` records the summed coefficient movement of each pass,
-    after the absolute 1e-14 prune (``algebra.PRUNE``) of every difference.
+    ``differences`` records the summed coefficient movement of each pass.
     The loop stops at the first pass whose movement is 0.0, and after
     ``steps + 2`` passes in any case; with polynomial coefficients the
     movement reaches 0.0 once the pass count passes the reachable depth,
-    at most the number of grid steps.  Movements below the prune do not
-    count, so the last iterate is not always elementwise identical to the
-    exact grid fixed point that ``solve_sde`` computes: it can differ by
-    coefficients of about 1e-16.  ``compute_mu`` adds the final-node moment
-    gap per pass.
+    at most the number of grid steps, and the last iterate is then the
+    exact grid fixed point that ``solve_sde`` computes.  ``compute_mu``
+    adds the final-node moment gap per pass.
     """
     if spec.brownian_dimension != space.m:
         raise ValueError("diffusion width must match the Brownian dimension")

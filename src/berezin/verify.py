@@ -163,7 +163,7 @@ def random_element(
     Each term draws its degree uniformly from 0..n (an EVEN element rounds
     it down to even, an ODD one to odd, at least 1), a subset of that
     degree uniformly, and real and imaginary parts of magnitude uniform in
-    [0.2, 1] with independent signs, well above the prune threshold so
+    [0.2, 1] with independent signs, so no part is near zero and
     cancellation tests stay meaningful.  Cases are built from
     ``rng.random()`` alone, the one draw whose stream Python keeps the same
     across versions, so a seed gives the same elements on every supported

@@ -9,19 +9,19 @@ generators are whole component pairs, and it picks up the density
 coefficient of the complementary pairs.  One value holds that rule for a
 slice, ``SliceDensity``: the slice's bits and its pairing table, built
 from the closed form of ``heat_kernel``'s product over the pairs, with no
-element product and no prune.  ``BrownianMotion`` and ``_integrate_slice``,
-the one-slice oracle that tests call, read it.  A motion builds each
+element product.  ``BrownianMotion`` and ``_integrate_slice``, the
+one-slice oracle that tests call, read it.  A motion builds each
 slice's density on that slice, from its generator ids, and takes no
-algebra rule into its own hands: the prune test is ``algebra._kept`` and
+algebra rule into its own hands: the keep test is ``algebra._kept`` and
 ``WienerSpace.noise``'s products with increment generators are
 ``algebra._generator_product``, so no bit position is assumed outside
 ``algebra``.  The increments of distinct slices are independent, so the
 default engine takes an expectation in one pass over the functional's
 terms: each term walks only the slices its key touches, last slice first,
 multiplying in one pairing coefficient per slice, and is dropped as soon
-as a slice's pattern has no pairing or ``_kept`` prunes its coefficient.
-The survivors are summed in term order and pruned once, which is bit for
-bit the sum of integrating each term alone, slice by slice.  The
+as a slice's pattern has no pairing or its coefficient is zero.  The
+survivors are summed in term order and zero sums dropped once, which is
+bit for bit the sum of integrating each term alone, slice by slice.  The
 expectation of a product, ``BrownianMotion.expect_product``, builds only
 the product terms whose increments pair up whole
 (``algebra._paired_product``), the only ones the pass keeps, so the others
@@ -274,8 +274,7 @@ def _slice_density(ids: Sequence[GeneratorId], t: float) -> SliceDensity:
     pair's monomial) holds the coefficient t^(m/2 - |S|) on each union S of
     whole pairs, with sign +1.  The table multiplies in one pair at a time,
     in ``heat_kernel``'s term order and with its scalar products, so every
-    coefficient that ``heat_kernel`` keeps is equal bit for bit; the small
-    powers of t that its element products prune stay in."""
+    nonzero coefficient is ``heat_kernel``'s bit for bit."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     bits = _slice_bits(ids)
@@ -293,11 +292,9 @@ def _integrate_slice(a: GrassmannElement, density: SliceDensity) -> GrassmannEle
     and, after substituting the Euler step with live increments, of
     ``feynman_kac.fk_evolve``'s closed-form slice step.
 
-    Where ``heat_kernel`` prunes no density term, equal, coefficient for
-    coefficient and in term order, to
-    ``berezin_integrate(heat_kernel(ids, t).body * a, ids)``; where it prunes
-    a small power of t, which the table keeps, the products of that term add
-    to the sums.  A density term
+    Equal, coefficient for coefficient and in term order, to
+    ``berezin_integrate(heat_kernel(ids, t).body * a, ids)`` while no power
+    of t underflows to zero.  A density term
     meets only the terms of ``a`` whose slice bits are its complement, with
     sign +1: both are unions of whole pairs, and the m strips are even in
     number.  Every other product term misses a slice variable and
@@ -426,7 +423,7 @@ class BrownianMotion:
         return density
 
     def _expect_sequential(self, functional: GrassmannElement) -> GrassmannElement:
-        """The one pass of the class docstring; pruned once, at the end."""
+        """The one pass of the class docstring; zeros dropped once, at the end."""
         slice_bits = 0
         for r in self._check_slices(functional._union()):
             slice_bits |= self._density(r).bits

@@ -25,7 +25,6 @@ from berezin.algebra import (
     gen,
     grassmann_exp,
     increment,
-    PRUNE,
     monomial,
     multi_index,
     scalar,
@@ -133,7 +132,8 @@ def test_supercommutativity_on_random_homogeneous_pairs():
         a = random_element(rng, pool, parity=pa)
         b = random_element(rng, pool, parity=pb)
         sign = -1 if (pa is Parity.ODD and pb is Parity.ODD) else 1
-        assert (a * b - sign * (b * a)).norm() == 0.0
+        scale = max(1.0, a.norm() * b.norm())
+        assert (a * b - sign * (b * a)).norm() <= 1e-12 * scale
 
 
 def test_associativity_and_distributivity_on_random_triples():
@@ -151,7 +151,7 @@ def test_odd_elements_square_to_zero():
     pool = tuple(eta(i) for i in range(1, 7))
     for _ in range(200):
         a = random_element(rng, pool, parity=Parity.ODD)
-        assert (a * a).norm() == 0.0
+        assert (a * a).norm() <= 1e-12 * max(1.0, a.norm() ** 2)
 
 
 def test_norm_is_submultiplicative():
@@ -212,10 +212,17 @@ def test_scalar_mixing_and_division():
     assert 1 + E1 == E1 + 1
 
 
-def test_prune_threshold_drops_noise():
-    assert PRUNE == 1e-14
-    assert (E1 * 1e-15).is_zero()
-    assert not (E1 * 1e-13).is_zero()
+def test_only_exact_zeros_are_dropped():
+    assert (E1 * 1e-15).coefficient((eta(1),)) == 1e-15
+    assert (E1 * 5e-324).coefficient((eta(1),)) == 5e-324
+    assert (0.1 * E1 + 0.2 * E1 - 0.3 * E1).coefficient((eta(1),)) == 0.1 + 0.2 - 0.3  # round-off is kept
+    assert (0.5 * E1 - 0.5 * E1).is_zero()
+    assert list((E1 + E2 - E1).items()) == list(E2.items())
+
+
+def test_a_product_that_underflows_to_zero_is_dropped():
+    assert ((1e-200 * E1) * (1e-200 * E2)).is_zero()
+    assert (1e-200 * E1 * 1e-200).is_zero()
 
 
 INF, NAN = float("inf"), float("nan")
@@ -240,7 +247,7 @@ K1, K2 = multi_index((eta(1),)), multi_index((eta(2),))
     ),
 )
 def test_a_nan_coefficient_is_refused_where_the_prune_would_drop_it(build):
-    # abs(nan) >= PRUNE is False, so every prune test dropped the term without a word.
+    # abs(nan) > 0 is False, so a keep test that only compared would drop the term without a word.
     with pytest.raises(ValueError, match=r"non-finite coefficient \(?nan"):
         build()
 
@@ -472,32 +479,34 @@ def test_derivative_and_integral_signs_match_position_counting(gens, data):
 # every family, with an increment slice far above the last auxiliary set.
 MIXED_POOL = POOL + (increment(1101, 1), aux(2, 15))
 MIXED_KEYS = st.lists(st.sampled_from(MIXED_POOL), max_size=4, unique=True).map(multi_index)
-# Parts near the prune threshold, and zeros of both signs.
+# Parts of every size, of the size of unit parts' round-off, and zeros of
+# both signs.
 PARTS = st.one_of(
     st.floats(-2.0, 2.0),
     st.floats(5e-15, 3e-14),
     st.floats(-3e-14, -5e-15),
     st.sampled_from((0.0, -0.0)),
 )
-NEAR_PRUNE = st.builds(complex, PARTS, PARTS)
+COEFFS = st.builds(complex, PARTS, PARTS)
 
 
 def _sum_rule(a: GrassmannElement, b: GrassmannElement, op) -> GrassmannElement:
-    """Copy a, combine every term of b into it, then prune every term."""
+    """Copy a, combine every term of b into it, then drop every zero term."""
     data = dict(a.items())
     for mi, c in b.items():
         data[mi] = op(data.get(mi, 0j), c)
-    return GrassmannElement({mi: c for mi, c in data.items() if abs(c) >= PRUNE})
+    return GrassmannElement({mi: c for mi, c in data.items() if abs(c) > 0})
 
 
 @st.composite
 def near_cancelling_operands(draw):
-    """Two elements whose shared terms often cancel to within about 1e-14."""
-    a = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=6))
-    b = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=4))
+    """Two elements whose shared terms often cancel, exactly or to within
+    about 1e-14."""
+    a = draw(st.dictionaries(MIXED_KEYS, COEFFS, max_size=6))
+    b = draw(st.dictionaries(MIXED_KEYS, COEFFS, max_size=4))
     for mi, c in a.items():
         if draw(st.booleans()):
-            b[mi] = draw(st.sampled_from((c, -c))) + draw(NEAR_PRUNE)
+            b[mi] = draw(st.sampled_from((c, -c))) + draw(COEFFS)
     return GrassmannElement(a), GrassmannElement(b)
 
 
@@ -517,8 +526,9 @@ def test_numpy_scalars_leave_python_complex_coefficients():
         assert repr(list(got.items())) == repr(list(want.items()))
 
 
-# Factors that keep, shrink below the prune threshold, flip or rotate a term.
-FACTORS = st.sampled_from((1.0, -1.0, 0.5, 2.0, 1e-3, -1e-13, 1j, -0.7 + 0.2j, 3))
+# Factors that keep, shrink, flip or rotate a term; 1e-310 takes a part of
+# 1e-14 to exactly zero.
+FACTORS = st.sampled_from((1.0, -1.0, 0.5, 2.0, 1e-3, -1e-13, 1j, -0.7 + 0.2j, 3, 1e-310))
 
 
 @settings(LAWS)
@@ -526,8 +536,8 @@ FACTORS = st.sampled_from((1.0, -1.0, 0.5, 2.0, 1e-3, -1e-13, 1j, -0.7 + 0.2j, 3
 def test_in_place_sums_are_the_chain_of_sums_and_differences(first, second, factor, start, data):
     """``_add_into`` keeps ``acc + x``, ``acc + factor * x`` and, on the
     negated addend, ``acc - x``: the same keys in the same order, and the
-    same coefficients down to the signs of zero.  Near-cancelling operands
-    drop keys below the prune threshold, and later steps add them again."""
+    same coefficients down to the signs of zero.  Cancelling operands drop
+    keys, and later steps add them again."""
     addends = first + second
     acc = first[0] if start else ZERO
     terms = dict(acc.items())
@@ -565,14 +575,14 @@ ODD_IMAGES = st.dictionaries(
     st.lists(st.sampled_from(MIXED_POOL), min_size=1, max_size=3, unique=True)
     .filter(lambda g: len(g) % 2)
     .map(multi_index),
-    NEAR_PRUNE,
+    COEFFS,
     max_size=3,
 ).map(GrassmannElement)
 
 
 @settings(LAWS, max_examples=200)
 @given(
-    st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=8).map(GrassmannElement),
+    st.dictionaries(MIXED_KEYS, COEFFS, max_size=8).map(GrassmannElement),
     st.dictionaries(st.sampled_from(MIXED_POOL), ODD_IMAGES, max_size=4),
 )
 def test_substitution_is_the_product_in_canonical_generator_order(a, images):
@@ -583,12 +593,15 @@ def test_substitution_is_the_product_in_canonical_generator_order(a, images):
 
 
 def test_substitution_prunes_after_each_term_as_a_chain_of_sums():
-    # The first two terms land on θ[1] and cancel below the threshold, so
-    # the sum is pruned there and the last term starts it afresh.
-    e1, e2, theta = (multi_index([g]) for g in (eta(1), eta(2), aux(1)))
-    a = GrassmannElement({e1: 2e-14, e2: -1.5e-14, theta: 1.2e-14})
-    got = substitute(a, {eta(1): gen(aux(1)), eta(2): gen(aux(1))})
-    assert repr(list(got.items())) == repr([(theta, 1.2e-14 + 0j)])
+    # All three terms land on θ[1], summed in term order: about 1.7e-14.
+    e1, e2, theta, phi = (multi_index([g]) for g in (eta(1), eta(2), aux(1), aux(2)))
+    images = {eta(1): gen(aux(1)), eta(2): gen(aux(1))}
+    got = substitute(GrassmannElement({e1: 2e-14, e2: -1.5e-14, theta: 1.2e-14}), images)
+    assert repr(list(got.items())) == repr([(theta, (0j + 2e-14) + -1.5e-14 + 1.2e-14)])
+    # The first two cancel exactly, so θ[1] is dropped there and the last
+    # term adds it again, after φ[2].
+    got = substitute(GrassmannElement({e1: 2e-14, phi: 1.0, e2: -2e-14, theta: 1.2e-14}), images)
+    assert repr(list(got.items())) == repr([(phi, 1 + 0j), (theta, 1.2e-14 + 0j)])
 
 
 def _substitute_chain(a: GrassmannElement, images: dict) -> GrassmannElement:
@@ -618,20 +631,20 @@ def substitution_cases(draw):
     """An element and odd images of some of its generators.  Some terms of
     the element sit on keys a one-generator term's image also reaches, with
     a value that cancels the image term's to within about 1e-14, before or
-    after it; the images may be empty or hold terms that scale below the
-    prune threshold."""
+    after it; the images may be empty, and a scale of 1e-300 takes the
+    product of two 1e-14 parts to exactly zero."""
     images = draw(st.dictionaries(st.sampled_from(MIXED_POOL), ODD_IMAGES, max_size=4))
     mapped = reduce(operator.or_, map(multi_index, ([g] for g in images)), 0)
-    terms = draw(st.dictionaries(MIXED_KEYS, NEAR_PRUNE, max_size=6))
-    scales = st.sampled_from((1.0, -1.0, 1e-13, 3e-14, 1e14))
+    terms = draw(st.dictionaries(MIXED_KEYS, COEFFS, max_size=6))
+    scales = st.sampled_from((1.0, -1.0, 1e-13, 3e-14, 1e14, 1e-300))
     for g, image in images.items():
-        c = draw(NEAR_PRUNE) * draw(scales)
-        if abs(c) < PRUNE:
+        c = draw(COEFFS) * draw(scales)
+        if c == 0:
             continue
         one = {multi_index([g]): c}
         for key, v in image.items():
             if not key & mapped and draw(st.booleans()):
-                one[key] = -(0j + (1 * c) * v) + draw(NEAR_PRUNE)
+                one[key] = -(0j + (1 * c) * v) + draw(COEFFS)
         items = list(terms.items()) + list(one.items())
         terms = dict(draw(st.permutations(items)))
     return GrassmannElement(terms), images
@@ -649,11 +662,11 @@ def test_one_generator_and_unmapped_terms_sum_as_the_product_chain(case):
 def test_one_generator_terms_keep_the_chain_rounding_on_hand_picked_cases():
     e1, e2, theta, phi = (multi_index([g]) for g in (eta(1), eta(2), aux(1), aux(2)))
     cases = [
-        # an image term that scales below the prune on a key the sum holds: dropped before the sum
-        (GrassmannElement({theta: 1.0, e1: 1e-3}), {e1: GrassmannElement({theta: 1e-12})}),
+        # an image term whose product underflows to zero on a key the sum holds: dropped before the sum
+        (GrassmannElement({theta: 1.0, e1: 1e-300}), {e1: GrassmannElement({theta: 1e-30})}),
         # an image part of -0.0 on a new key: the sum makes it 0.0
         (GrassmannElement({e1: 1.0}), {e1: GrassmannElement({theta: complex(-1.0, -0.0)})}),
-        # a sum that cancels below the prune, then a term that adds the key again
+        # a sum that cancels to zero, then a term that adds the key again
         (
             GrassmannElement({theta: 0.5 + 0.25j, e1: -1.0, e2: 2.0}),
             {e1: GrassmannElement({theta: 0.5 + 0.25j}), e2: GrassmannElement({theta: 1e-3, phi: 1.0})},
@@ -678,9 +691,9 @@ def test_distance_is_the_norm_of_the_difference(operands):
 def test_distance_sums_in_the_order_of_the_difference_keys():
     # 2 + 1 + 3 + 9e-14 + 9e-14 rounds to 6.000000000000179, the reverse
     # order of the y-only keys to 6.00000000000018; the shared key cancels
-    # below the prune and adds nothing.
+    # to zero and adds nothing.
     keys = [multi_index([g]) for g in MIXED_POOL]
     x = GrassmannElement({keys[0]: 2.0, keys[1]: 0.7})
-    y = GrassmannElement({keys[1]: 0.7 - 1e-15, keys[2]: 1.0, keys[3]: 3.0, keys[4]: 9e-14, keys[5]: 9e-14})
+    y = GrassmannElement({keys[1]: 0.7, keys[2]: 1.0, keys[3]: 3.0, keys[4]: 9e-14, keys[5]: 9e-14})
     assert repr(_distance(x, y)) == repr((x - y).norm())
     assert repr(_distance(y, x)) == repr((y - x).norm())

@@ -134,6 +134,43 @@ def test_moments_table(capsys):
     assert lookup[("1.0", "b1")] == 0.0
 
 
+# Numbers far below 1e-14 are exact results, not noise, and are reported as
+# they are.
+
+
+def test_moments_at_a_tiny_time(capsys):
+    code, out = run_cli(capsys, "moments", "--times", "1e-20")
+    assert code == 0
+    lookup = {row[1]: float(row[2]) for row in csv.reader(out.strip().splitlines()[1:])}
+    assert lookup["b1*b2"] == 1e-20
+
+
+def test_converge_at_a_tiny_time(capsys):
+    code, out = run_cli(capsys, "converge", "--quantity", "ou_xx", "--n", "4,8", "--t", "1e-300", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for re, im in payload["values"] + [payload["extrapolate"]]:
+        assert re == pytest.approx(1e-300, rel=1e-12, abs=0.0) and im == 0.0
+
+
+def test_kernel_whose_coefficients_are_all_tiny(capsys):
+    code, out = run_cli(capsys, "kernel", "flat_potential", "--lam", "40", "--n", "64,128")
+    assert code == 0
+    payload = json.loads(out)
+    kernel, closed = payload["kernel_coefficients"], payload["closed_form_coefficients"]
+    assert len(kernel) == 5 and kernel.keys() == closed.keys()
+    for key, (re, im) in kernel.items():
+        assert abs(re) == pytest.approx(np.exp(-40.0), rel=1e-12, abs=0.0) and im == 0.0
+        assert re == pytest.approx(closed[key][0], rel=1e-12, abs=0.0)
+
+
+def test_kernel_round_off_below_the_old_cut_is_reported(capsys):
+    code, out = run_cli(capsys, "kernel", "flat_potential", "--lam", "25", "--n", "64,128")
+    assert code == 0
+    errors = json.loads(out)["max_abs_error"]["fk_vs_oracle"]
+    assert all(0.0 < e < 1e-20 for e in errors)  # about 1.5e-24 against coefficients of e^-25
+
+
 def test_output_file_and_config_precedence(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"t": 2.0, "n": "4"}))
@@ -286,8 +323,8 @@ def test_out_of_range_hamiltonian_option_exits_2_and_names_the_option(
 def test_non_finite_hamiltonian_option_exits_2_and_names_the_option(
     tmp_path, capsys, command, option, value, via_config
 ):
-    # A NaN coefficient fails the prune test and is dropped, so these inputs
-    # would otherwise print a plausible number and exit 0.
+    # A NaN coefficient fails the keep test; dropped rather than refused, it
+    # would leave a plausible number and exit 0.
     if via_config:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({option: float(value), "n": "2,4"}))  # NaN and Infinity literals
@@ -374,6 +411,28 @@ def test_kernel_just_below_the_overflow_reports_finite_numbers(capsys):
     assert code in (0, 1)
     report = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert all(np.isfinite(report["max_abs_error"]["fk_vs_oracle"]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["converge", "--quantity", "flat_c0", "--t", "1e308", "--n", "1,2"],
+        ["converge", "--quantity", "flat_c0", "--t", "5e-324", "--n", "2,4"],
+        ["kernel", "flat", "--t", "5e-324", "--n", "2,4"],
+    ),
+    ids=("converge-overflow", "converge-collapse", "kernel-collapse"),
+)
+def test_a_grid_whose_nodes_overflow_or_collapse_exits_2_and_names_t_and_n(capsys, argv):
+    # 2 * 1e308 overflows, and 5e-324 / 2 rounds to 0, so the partition
+    # refuses its nodes.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: berezin {argv[0]} ")
+    assert "error: argument --t: partition nodes must be finite and strictly increasing" in captured.err
+    assert "change --t or --n" in captured.err
+    assert captured.out == ""
 
 
 def test_brownian_dimension_above_the_component_cap_is_rejected(capsys):

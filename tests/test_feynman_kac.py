@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from berezin.algebra import (
     ONE,
-    PRUNE,
     ZERO,
     GrassmannElement,
     aux,
@@ -289,7 +288,7 @@ def test_the_oracle_refuses_an_exponential_that_overflows():
 
 
 def test_a_nan_rate_is_refused_not_pruned():
-    # The NaN drift terms fell to the prune: fk_evolve returned 1.0 + 1.0·η[1]η[2].
+    # Dropping the NaN drift terms would return 1.0 + 1.0·η[1]η[2].
     with pytest.raises(ValueError, match="non-finite coefficient"):
         fk_evolve(example_hamiltonian("ou", r=float("nan")), monomial(state_variables(2)), Partition.uniform(1.0, 4))
 
@@ -559,15 +558,15 @@ def test_a_parameter_before_the_state_variables_rides_along_exactly(theta):
 
 def _random_element(rng, pool, parity, scale):
     """A random element over ``pool`` of the given parity (0 even, 1 odd)
-    whose coefficients are ordinary, zero-signed or close to the prune
-    threshold."""
+    whose coefficients are ordinary, zero-signed or of round-off size."""
     terms = {}
     for _ in range(rng.randint(0, 5)):
         gens = sorted(rng.sample(pool, rng.randint(0, len(pool))))
         if len(gens) % 2 != parity:
             gens = gens[1:]
         if len(gens) % 2 == parity:
-            size = rng.choice((scale, scale, 1.01 * PRUNE, 3 * PRUNE, 1.5e-7))
+            # 1.01e-14 and 3e-14: the size of unit parts' round-off, which is kept
+            size = rng.choice((scale, scale, 1.01e-14, 3e-14, 1.5e-7))
             imag = rng.choice((-0.0, size * rng.uniform(-1, 1)))
             terms[multi_index(gens)] = complex(size * rng.uniform(-1, 1), imag)
     return GrassmannElement(terms)

@@ -20,7 +20,6 @@ from berezin.algebra import (
     Family,
     GeneratorId,
     GrassmannElement,
-    PRUNE,
     Parity,
     _INCREMENT_SHIFT,
     _paired_product,
@@ -77,12 +76,12 @@ def _whole_paired(key):
 
 def _coefficient(rng):
     """Mostly unit-size values, some exact small integers whose sums cancel
-    to zero, some small enough that their products fall below the prune
-    threshold; signed zeros in either part."""
+    to zero, some so small (1e-200) that their products underflow to zero;
+    signed zeros in either part."""
     kind = rng.random()
     if kind < 0.3:
         return complex(rng.choice((1.0, -1.0, 0.5, -0.5)), rng.choice((0.0, -0.0)))
-    scale = rng.choice((1.0, 1.0, 1e-7, 1.5 * PRUNE))
+    scale = rng.choice((1.0, 1.0, 1e-7, 1e-200))
     re = scale * rng.uniform(-1, 1)
     im = rng.choice((scale * rng.uniform(-1, 1), 0.0, -0.0))
     if kind > 0.9:
@@ -164,8 +163,10 @@ def test_the_cases_cover_every_feature():
             seen.add("colliding increment bits")
         if any(key and not key >> _INCREMENT_SHIFT for key in kept):
             seen.add("a parameter kept")
-        if any(abs(value) < PRUNE for key, value in full.items() if key in kept):
-            seen.add("a kept sum below the prune threshold")
+        if any(value == 0 for key, value in full.items() if key in kept):
+            seen.add("a kept sum of exactly zero")
+        if any(ca and cb and not ca * cb for ca in a._terms.values() for cb in b._terms.values()):
+            seen.add("a product that underflows to zero")
         if any(repr(c).startswith("(-0") or "-0j" in repr(c) for e in (a, b) for _, c in e.items()):
             seen.add("a signed zero")
         if len(list(motion.expect_product(a, b).items())) > 1:
@@ -177,7 +178,8 @@ def test_the_cases_cover_every_feature():
         "a half pair dropped",
         "colliding increment bits",
         "a parameter kept",
-        "a kept sum below the prune threshold",
+        "a kept sum of exactly zero",
+        "a product that underflows to zero",
         "a signed zero",
         "an expectation with parameter terms",
     ):

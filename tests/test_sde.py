@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berezin.algebra import PRUNE, ZERO, aux, gen, scalar
+from berezin.algebra import ZERO, aux, gen, scalar
 from berezin.calculus import SupersmoothFunction
 from berezin.feynman_kac import example_hamiltonian, sde_spec, state_variables
 from berezin.stochastic import (
@@ -255,7 +255,7 @@ def test_state_dependent_quadratic_diffusion_is_accepted():
 
 
 def _coefficient_gap(x, y):
-    """Largest coefficient difference of two elements, with no pruning."""
+    """Largest coefficient difference of two elements, key by key."""
     a, b = dict(x.items()), dict(y.items())
     return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0)
 
@@ -280,7 +280,7 @@ def test_the_sweep_is_the_picard_fixed_point(partition, start):
         for va, vb in zip(swept.values, iterated.process.values)
         for a, b in zip(va, vb)
     )
-    assert gap <= PRUNE
+    assert gap == 0.0  # the last iterate is the exact grid fixed point
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -99,7 +99,7 @@ def test_node_lookup_on_float_times(case, data):
 
 
 def test_a_nan_coefficient_is_refused_by_the_noise_step_and_the_expectation():
-    # inf+infj times a real coefficient is NaN, which every prune test dropped.
+    # inf+infj times a real coefficient is NaN, which a keep test that only compared would drop.
     huge = GrassmannElement({0: complex(float("inf"), float("inf"))})
     with pytest.raises(ValueError, match="non-finite coefficient"):
         SPACE.noise(SPACE.increment_elements(1), (huge, ZERO))
@@ -264,8 +264,8 @@ def _noise_case(seed: int):
     """Increments of slice s and coefficients over state variables,
     auxiliary generators and the increments of earlier slices.  Some terms
     hold the slice's own increments: their products vanish, or meet the
-    product of another increment on one key.  Parts are of every size, near
-    the prune threshold, or zeros of both signs."""
+    product of another increment on one key.  Parts are of every size, of
+    round-off size, or zeros of both signs."""
     rng = random.Random(seed)
     m = rng.choice((2, 4, 6, 8))
     s = rng.choice((1, 3, 70))
@@ -337,7 +337,7 @@ def slice_integrands(draw):
         st.lists(st.tuples(st.sets(st.sampled_from(pool)), COEFFICIENTS), min_size=1, max_size=12)
     )
     a = GrassmannElement({multi_index(sorted(gens)): c for gens, c in terms})
-    t = draw(st.one_of(st.floats(1e-3, 3.0), st.just(1e-8)))  # 1e-8: m = 4 prunes t**2
+    t = draw(st.one_of(st.floats(1e-3, 3.0), st.just(1e-8)))  # 1e-8: at m = 4, t**2 = 1e-16 meets unit terms
     return a, ids, t
 
 
@@ -359,8 +359,6 @@ def test_slice_density_is_the_heat_kernel_by_complement(m, r):
         density = _slice_density(ids, t)
         assert density.bits == multi_index(ids)
         want = [(density.bits ^ mi, c) for mi, c in heat_kernel(ids, t).body.items()]
-        if m == 8 and t == 1e-4:  # heat_kernel prunes t**4 = 1e-16; the table keeps it, last
-            want.append((density.bits, 1e-16 + 0j))
         assert list(density.table.items()) == want
 
 
@@ -373,9 +371,9 @@ def test_slice_density_needs_one_whole_block_in_order():
         _slice_density(ids, -1e-3)
 
 
-def test_a_slice_density_term_below_the_prune_threshold_still_counts():
-    # The t**4 = 1e-16 density term lies below algebra.PRUNE, but the
-    # expectation 1e3 * t**4 does not.
+def test_a_small_slice_density_term_counts():
+    # The t**4 = 1e-16 density term is of round-off size, and the
+    # expectation 1e3 * t**4 is that term.
     space = WienerSpace(8)
     top = 1e3 * ONE
     for b in space.increment_elements(1):
@@ -421,10 +419,11 @@ def test_sequential_engine_matches_joint_mode_on_random_grids(case):
 
 
 @st.composite
-def pruned_functionals(draw):
+def underflowing_functionals(draw):
     """Random functionals over the increments of up to five slices and two
-    auxiliary generators, some coefficients so small that integrating a
-    later slice prunes them, and with them every term of an earlier slice.
+    auxiliary generators, some coefficients so small (1e-320, a subnormal)
+    that integrating a later slice takes them to exactly zero, which drops
+    the term before it meets an earlier slice.
     Slice widths differ, so the order in which a term picks up its slices'
     coefficients shows in the last bits.  Half the terms hold whole slices,
     which integrate to nonzero values that often meet on one key.  Some
@@ -445,7 +444,7 @@ def pruned_functionals(draw):
             for r in rng.sample(range(1, steps + 1), rng.randint(1, min(3, steps))):
                 gens.update(SPACE.increment_ids(r))
         gens = sorted(gens)
-        scale = rng.choice((1.0, 1e-12, 2e-14))
+        scale = rng.choice((1.0, 1e-12, 2e-14, 1e-320))
         imag = rng.choice((scale * rng.uniform(-1, 1), -0.0))
         terms[multi_index(gens)] = complex(scale * rng.uniform(-1, 1), imag)
     return motion, GrassmannElement(terms)
@@ -453,7 +452,7 @@ def pruned_functionals(draw):
 
 def _per_term_expectation(motion, functional):
     """Each term alone, integrated with ``_integrate_slice`` over the slices
-    it touches, last first; the results summed in term order, pruned once."""
+    it touches, last first; the results summed in term order, zeros dropped once."""
     total = {}
     for mi, c in functional.items():
         term = GrassmannElement({mi: c})
@@ -466,7 +465,7 @@ def _per_term_expectation(motion, functional):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(pruned_functionals())
+@given(underflowing_functionals())
 def test_one_pass_engine_is_the_per_term_integral_bit_for_bit(case):
     motion, functional = case
     want = _per_term_expectation(motion, functional)
