@@ -302,6 +302,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # -tH may overflow; ``_expm`` refuses it
 def semigroup_oracle(op: OperatorMatrix, t: float) -> OperatorMatrix:
     """Ground truth for exp(-t H), relative accuracy ~1e-12 at these sizes."""
     if t < 0:
@@ -462,8 +463,8 @@ def _operator_map(h: HamiltonianSpec) -> Callable[[Partition], OperatorMatrix]:
     its matrix per width are built once and shared by every partition the
     map takes; they live as long as the map.
 
-    Each slice's matrix is looked up once, by its own width b - a (the float
-    ``Partition.delta`` gives), and the list is chained right to left with
+    Each slice's matrix is looked up once, by its own width
+    ``partition.delta(r)``, and the list is chained right to left with
     ``ndarray.dot``, which gives ``@``'s bits at a lower cost per call on
     these small matrices.  A one-slice partition gets a copy, so no caller
     holds a cached matrix.
@@ -475,8 +476,7 @@ def _operator_map(h: HamiltonianSpec) -> Callable[[Partition], OperatorMatrix]:
         return operator_matrix(lambda f: step(f, dt), h.variables).matrix
 
     def operator(partition: Partition) -> OperatorMatrix:
-        nodes = partition.nodes
-        slices = [width(b - a) for a, b in zip(nodes, nodes[1:])]
+        slices = [width(partition.delta(r)) for r in range(1, partition.steps + 1)]
         product = slices.pop().copy()
         # Warnings off, as in ``_expm``: an overflow leaves inf or NaN entries,
         # and ``kernel_extract`` refuses a NaN coefficient.
@@ -574,6 +574,10 @@ def oracle_kernel(h: HamiltonianSpec, t: float) -> SupersmoothFunction:
     return kernel_extract(semigroup_oracle(hamiltonian_matrix(h), t))
 
 
+# Warnings off, as in ``_expm``: a constant that overflows leaves an infinite
+# coefficient, which is kept and fails ``kernel``'s check, or a NaN one, which
+# the algebra refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def closed_form_kernel(
     name: str,
     t: float,

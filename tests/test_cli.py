@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berezin.algebra import gen
+from berezin.algebra import COMPONENT_CAP, gen
+from berezin.calculus import SupersmoothFunction
+from berezin import cli
 from berezin.cli import PARAMS, QUANTITIES, SUBCOMMANDS, build_parser, main
 from berezin import feynman_kac
-from berezin.feynman_kac import example_hamiltonian, fk_evolve, fk_operator
+from berezin.feynman_kac import EXAMPLE_NAMES, example_hamiltonian, fk_evolve, fk_operator
 from berezin.wiener import Partition
 
 
@@ -169,6 +175,66 @@ def test_kernel_round_off_below_the_old_cut_is_reported(capsys):
     assert code == 0
     errors = json.loads(out)["max_abs_error"]["fk_vs_oracle"]
     assert all(0.0 < e < 1e-20 for e in errors)  # about 1.5e-24 against coefficients of e^-25
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["flat_potential", "--lam=-20", "--n", "64,128,256,512,1024"],
+        ["oscillator", "--t", "20", "--n", "1024,2048,4096"],
+        ["flat_potential", "--lam=-30", "--t", "2", "--n", "64,128,256"],
+        ["oscillator", "--t", "20", "--n", "4096"],
+    ),
+    ids=("flat_potential-lam-20", "oscillator-t20", "flat_potential-lam-30", "oscillator-t20-one-grid"),
+)
+def test_kernel_judges_a_large_kernel_against_its_size(capsys, argv):
+    # The oracle and the closed form differ by 1e-15 relative, 3.6e-6 absolute
+    # at --lam -20 (largest coefficient 4.9e8): an absolute 1e-9 failed them.
+    code, out = run_cli(capsys, "kernel", *argv)
+    assert code == 0
+    assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+def test_kernel_past_the_first_order_regime_fails_only_its_ratio_check(capsys):
+    # dt = 0.47: the error does not yet halve per doubling.  The closed-form
+    # gap, 0.0195 on a kernel of size about e^30, is round-off.
+    code, out = run_cli(capsys, "kernel", "oscillator", "--t", "30", "--n", "64,128")
+    assert code == 1
+    failed = [check["name"] for check in json.loads(out)["checks"] if not check["passed"]]
+    assert failed == ["fk-vs-oracle error halves per grid doubling"]
+
+
+@pytest.mark.parametrize(
+    "factor, argv",
+    (
+        (1 + 1e-8, ["ou"]),
+        (1 + 1e-8, ["flat_potential", "--lam=-20", "--n", "64,128"]),
+        (2.0, ["flat_potential", "--lam", "40", "--n", "64,128"]),
+    ),
+    ids=("ou", "flat_potential-lam-20", "flat_potential-lam40"),
+)
+def test_kernel_fails_a_closed_form_off_by_a_relative_error(capsys, monkeypatch, factor, argv):
+    # At --lam 40 every coefficient is about 4e-18: an absolute 1e-9 passed a
+    # closed form off by 100 %.
+    closed_form = cli.closed_form_kernel
+
+    def scaled(*args, **params):
+        kernel = closed_form(*args, **params)
+        return SupersmoothFunction(kernel.body * factor, kernel.variables)
+
+    monkeypatch.setattr(cli, "closed_form_kernel", scaled)
+    code, out = run_cli(capsys, "kernel", *argv)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert not checks[0]["passed"] and all(check["passed"] for check in checks[1:])
+
+
+def test_kernel_has_no_tolerance_option(capsys):
+    assert "--tol" not in build_parser("kernel")[1]["kernel"].format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "ou", "--n", "8", "--tol", "1e-6"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
 
 def test_output_file_and_config_precedence(tmp_path, capsys):
@@ -345,11 +411,13 @@ def test_non_finite_hamiltonian_option_exits_2_and_names_the_option(
         ["kernel", "flat_potential", "--lam", "1e308", "--n", "2"],
         ["kernel", "flat_potential", "--lam=-1e308", "--n", "2"],
         ["kernel", "oscillator", "--t", "1e308", "--n", "2"],
+        ["kernel", "ou", "--t", "1.7e308", "--n", "2"],
     ),
-    ids=("lam", "negative-lam", "t"),
+    ids=("lam", "negative-lam", "t", "t-overflows-tH"),
 )
 def test_kernel_past_the_operator_exponential_exits_2_and_names_the_options(capsys, argv):
-    # -tH had a one-norm whose squaring count overflowed: an OverflowError traceback.
+    # -tH had a one-norm whose squaring count overflowed: an OverflowError
+    # traceback.  At t = 1.7e308, -tH itself overflowed with a numpy warning.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -368,6 +436,25 @@ def test_kernel_whose_exponential_overflows_exits_2_and_names_the_options(capsys
     captured = capsys.readouterr()
     assert "argument --t: the matrix exponential of a matrix with one-norm 801.0 overflows" in captured.err
     assert "lower --t or the Hamiltonian options (--r, --c, --b, --lam)" in captured.err
+    assert captured.out == ""
+
+
+def test_kernel_whose_closed_form_constant_overflows_reports_it_and_fails(capsys):
+    # c^2/(2b) (e^{-2bt} - 1) overflowed with a numpy RuntimeWarning.
+    code, out = run_cli(capsys, "kernel", "quartic", "--n", "1", "--b=-321", "--c", "1e17")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["closed_form_coefficients"]["1"] == [-np.inf, 0.0]
+    assert payload["checks"][0]["value"] == np.inf and not payload["checks"][0]["passed"]
+
+
+def test_kernel_whose_closed_form_overflows_at_a_subnormal_time_exits_2(capsys):
+    # 1/sinh t overflowed with a numpy RuntimeWarning ahead of the refusal.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "oscillator", "--t", "5e-324", "--n", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err and "--t" in captured.err.splitlines()[-1]
     assert captured.out == ""
 
 
@@ -549,3 +636,53 @@ def test_kernel_builds_one_slice_map_per_call(capsys, monkeypatch):
         for n in (8, 16, 32):
             partition = Partition.uniform(t, n)
             assert operator(partition).matrix.tobytes() == fk_operator(h, partition).matrix.tobytes(), (t, n)
+
+
+# The domain the parser accepts, extremes included, with small grids; moderate
+# values are drawn as often, so that most calls end in a report.
+GRIDS = st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True).map(lambda n: ",".join(map(str, sorted(n))))
+TIMES = st.floats(5e-324, 1.7e308) | st.floats(1e-3, 40.0)
+VALUES = st.floats(-1e160, 1.7e308) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand and its options: each Hamiltonian option set or left at its default."""
+    command = draw(st.sampled_from(("converge", "kernel", "moments")))
+    if command == "moments":
+        times = draw(st.lists(TIMES, min_size=1, max_size=3))
+        options = {
+            "times": ",".join(map(str, times)),
+            "m": draw(st.sampled_from(range(2, COMPONENT_CAP + 1, 2))),
+            "format": draw(st.sampled_from(("csv", "json"))),
+        }
+        return [command], options
+    options = {key: draw(st.none() | (TIMES if key == "t" else VALUES)) for key in PARAMS}
+    options = {key: value for key, value in options.items() if value is not None}
+    options["n"] = draw(GRIDS)
+    if command == "kernel":
+        return [command, draw(st.sampled_from(EXAMPLE_NAMES))], {**options, "format": "json"}
+    options["format"] = draw(st.sampled_from(("csv", "json")))
+    return [command, "--quantity", draw(st.sampled_from(tuple(QUANTITIES)))], options
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(cli_calls())
+def test_every_accepted_input_ends_in_a_report_or_exit_2(call):
+    head, options = call
+    argv = head + [f"--{key}={value}" for key, value in options.items()]  # "=" keeps "-1e160" a value
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        message = err.getvalue().splitlines()[-1]
+        assert out.getvalue() == "" and any(f"--{key}" in message for key in options), (argv, message)
+    elif head[0] == "kernel":
+        failed = [check for check in json.loads(out.getvalue())["checks"] if not check["passed"]]
+        assert code == (1 if failed else 0), argv
+    else:
+        assert code == 0, argv
