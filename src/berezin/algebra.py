@@ -119,10 +119,15 @@ class NonFiniteCoefficient(ValueError):
 
 
 def _kept(mi: MultiIndex, c: complex) -> bool:
-    """The keep rule, the one test of it: whether the term ``c`` on ``mi``
-    is kept.  A term is kept exactly when ``abs(c) > 0``, so only an exact
-    zero is dropped.  A NaN fails that comparison and is refused with
-    ``NonFiniteCoefficient`` rather than dropped."""
+    """The keep rule, the one definition of it: whether the term ``c`` on
+    ``mi`` is kept.  A term is kept exactly when ``abs(c) > 0``, so only an
+    exact zero is dropped.  A coefficient whose magnitude is NaN fails that
+    comparison and is refused with ``NonFiniteCoefficient`` rather than
+    dropped; an infinite magnitude (``inf+nanj`` included) is kept.
+
+    The loops of this module test ``abs(c) > 0.0 or _kept(mi, c)``: the
+    comparison keeps a term at C speed, and only a term it would drop
+    reaches this call, which drops an exact zero and refuses a NaN."""
     if abs(c) > 0.0:
         return True
     if c != c:
@@ -213,6 +218,11 @@ def _above(mi: MultiIndex) -> int:
     return acc
 
 
+# ``_above`` of every key of variable set 0 (the keys below 256), where
+# every state-variable key lies: ``_product`` reads it instead of the loop.
+_SMALL_ABOVE = tuple(_above(k) for k in range(256))
+
+
 def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) -> dict[MultiIndex, complex]:
     """The terms of the product of two elements' term maps.
 
@@ -224,7 +234,7 @@ def _product(left: dict[MultiIndex, complex], right: dict[MultiIndex, complex]) 
     data: dict[MultiIndex, complex] = {}
     get = data.get
     for ka, ca in left.items():
-        above = _above(ka)
+        above = _SMALL_ABOVE[ka] if ka < 256 else _above(ka)
         plus, minus = 1 * ca, -1 * ca
         for kb, cb in right.items():
             if not ka & kb:
@@ -296,7 +306,7 @@ def _generator_product(b: MultiIndex, k: complex, terms: Mapping[MultiIndex, com
     for x, cx in terms.items():
         if not x & b:
             value = 0j + (minus if (x & below).bit_count() & 1 else plus) * cx
-            if _kept(x | b, value):
+            if abs(value) > 0.0 or _kept(x | b, value):
                 data[x | b] = value
     return data
 
@@ -311,19 +321,20 @@ def _add_into(data: dict[MultiIndex, complex], terms: Mapping[MultiIndex, comple
     ``data`` already held can cancel to zero (a new key holds 0j + c, a
     kept term's magnitude), so only those sums are tested, each as it is
     made; an addend holds each key once, so that leaves the keys in the
-    order of ``+``'s one test after the sum.  ``data`` ends up
-    as ``element + factor * addend`` would hold it, key order, rounding and
-    signs of zero included, without the copy of the accumulator that each
-    ``+`` makes.
+    order of ``+``'s one test after the sum.  Each test is the inline
+    ``abs(c) > 0.0``, with ``_kept`` called only for a term it would drop.
+    ``data`` ends up as ``element + factor * addend`` would hold it, key
+    order, rounding and signs of zero included, without the copy of the
+    accumulator that each ``+`` makes.
     """
     get = data.get
     for key, c in terms.items():
-        if factor is not None and not _kept(key, c := c * factor):
+        if factor is not None and not (abs(c := c * factor) > 0.0 or _kept(key, c)):
             continue
         old = get(key)
         if old is None:
             data[key] = 0j + c
-        elif _kept(key, c := old + c):
+        elif abs(c := old + c) > 0.0 or _kept(key, c):
             data[key] = c
         else:
             del data[key]
@@ -333,7 +344,9 @@ def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
     """``(x - y).norm()`` bit for bit, without building -y, the copy of x or
     the sum: the magnitudes are summed in the order of that sum's keys, x's
     keys first, each with its difference unless it is zero, then
-    the keys only in y, in y's order."""
+    the keys only in y, in y's order.  Only a difference is tested, as the
+    sum tests only the sums it makes: a key only in y holds 0j + -d there,
+    which has the magnitude of the kept term d."""
     left, right = x._terms, y._terms
 
     def magnitudes() -> Iterator[float]:
@@ -341,10 +354,10 @@ def _distance(x: "GrassmannElement", y: "GrassmannElement") -> float:
             d = right.get(key)
             if d is None:
                 yield abs(c)
-            elif _kept(key, c := c + -d):
+            elif abs(c := c + -d) > 0.0 or _kept(key, c):
                 yield abs(c)
         for key, d in right.items():
-            if key not in left and _kept(key, d := 0j + -d):
+            if key not in left:
                 yield abs(d)
 
     return sum(magnitudes())
@@ -363,7 +376,7 @@ class GrassmannElement:
         data: dict[MultiIndex, complex] = {}
         if terms:
             for mi, coeff in terms.items():
-                if _kept(mi, c := complex(coeff)):
+                if abs(c := complex(coeff)) > 0.0 or _kept(mi, c):
                     data[mi] = c
         self._terms = data
 
@@ -371,11 +384,13 @@ class GrassmannElement:
     def _adopt(cls, data: dict[MultiIndex, complex]) -> "GrassmannElement":
         """The element on ``data``, a fresh dict of Python complex coefficients:
         ``__init__`` without its copy of every term when none is zero.
-        The scan is the keep test run at C speed (a float's ``__lt__``,
-        which is False on NaN); only when it finds a term to drop does
-        ``_kept`` filter the terms, refusing a NaN."""
-        if not all(map(0.0.__lt__, map(abs, data.values()))):
-            data = {mi: c for mi, c in data.items() if _kept(mi, c)}
+        A plain loop scans the values with the inline keep test
+        ``abs(c) > 0.0`` and stops at the first that fails it; only then
+        does ``_kept`` filter the terms, dropping exact zeros and refusing
+        a NaN."""
+        for c in data.values():
+            if not abs(c) > 0.0:
+                return cls._wrap({mi: c for mi, c in data.items() if _kept(mi, c)})
         return cls._wrap(data)
 
     @classmethod
@@ -464,9 +479,10 @@ class GrassmannElement:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GrassmannElement:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         data = dict(self._terms)
         _add_into(data, other._terms)
         return GrassmannElement._wrap(data)
@@ -486,11 +502,12 @@ class GrassmannElement:
         return GrassmannElement._wrap({mi: -c for mi, c in self._terms.items()})
 
     def __mul__(self, other: "GrassmannElement | Scalar") -> "GrassmannElement":
-        if isinstance(other, (int, float, complex)):
-            other = _native(other)
-            return GrassmannElement._adopt({mi: c * other for mi, c in self._terms.items()})
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
+        if type(other) is not GrassmannElement:
+            if isinstance(other, (int, float, complex)):
+                other = _native(other)
+                return GrassmannElement._adopt({mi: c * other for mi, c in self._terms.items()})
+            if not isinstance(other, GrassmannElement):
+                return NotImplemented
         return GrassmannElement._adopt(_product(self._terms, other._terms))
 
     __rmul__ = __mul__  # only scalars reach it, and scalar products commute
@@ -678,7 +695,7 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             old = get(mi)
             if old is None:
                 data[mi] = 0j + coeff  # a kept term's magnitude: no test, as in ``_add_into``
-            elif _kept(mi, value := old + coeff):
+            elif abs(value := old + coeff) > 0.0 or _kept(mi, value):
                 data[mi] = value
             else:
                 del data[mi]
@@ -688,12 +705,12 @@ def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannEl
             plus = 1 * coeff
             for key, v in image._terms.items():
                 value = 0j + plus * v
-                if not _kept(key, value):
+                if not (abs(value) > 0.0 or _kept(key, value)):
                     continue
                 old = get(key)
                 if old is None:
                     data[key] = value  # 0j + value, as the sum adds it to an absent key
-                elif _kept(key, value := old + value):
+                elif abs(value := old + value) > 0.0 or _kept(key, value):
                     data[key] = value
                 else:
                     del data[key]

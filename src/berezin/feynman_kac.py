@@ -625,7 +625,15 @@ def closed_form_kernel(
         return SupersmoothFunction(body, variables)
     if name == "oscillator":
         sh, ch = np.sinh(t), np.cosh(t)
-        exponent = (ch / sh) * (xi1 * xi2 + et1 * et2) - (1.0 / sh) * (xi1 * et2 + et1 * xi2)
+        csch = 1.0 / sh
+        # The exponential squares the exponent: its top coefficient sums
+        # 2·coth² t and -2·csch² t, equal at tiny t, which overflow below
+        # t = 1.0547686614863e-154 and leave inf - inf = NaN.
+        if np.isinf(2.0 * csch * csch):
+            raise ParameterError(
+                "t", f"the oscillator closed form divides by sinh t, and 2/sinh(t)^2 overflows at t = {t!r}: raise --t"
+            )
+        exponent = (ch / sh) * (xi1 * xi2 + et1 * et2) - csch * (xi1 * et2 + et1 * xi2)
         return SupersmoothFunction(sh * grassmann_exp(exponent), variables)
     if name == "quartic":
         if b == 0:

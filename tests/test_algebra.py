@@ -448,6 +448,26 @@ def test_monomial_products_match_a_positional_sign_oracle(pool, data):
         assert product == monomial(sorted_gens, sign)
 
 
+def test_every_disjoint_product_over_eta1_to_eta8_has_the_positional_sign():
+    # Products read the sign mask of a left key below 256 (variable set 0)
+    # from a table, and the random oracle above seldom draws a given one of
+    # those keys as a left factor: check every left key against every
+    # right key it does not meet, over η1…η8 and the first generator past
+    # them, η'1 (2·3^8 pairs).
+    gens = tuple(eta(j) for j in range(1, COMPONENT_CAP + 1)) + (eta(1, 1),)
+    subsets = [tuple(g for j, g in enumerate(gens) if k >> j & 1) for k in range(512)]
+    elements = [monomial(subset) for subset in subsets]
+    for ka in range(256):
+        free = 511 & ~ka
+        kb = free
+        while True:
+            _, sign = _reference_monomial_product(subsets[ka], subsets[kb])
+            assert list((elements[ka] * elements[kb]).items()) == [(ka | kb, complex(sign))], (ka, kb)
+            if not kb:
+                break
+            kb = (kb - 1) & free
+
+
 @LAWS
 @given(_elements(), _elements(), _elements())
 def test_products_are_associative_and_distributive(a, b, c):

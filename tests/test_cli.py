@@ -448,14 +448,22 @@ def test_kernel_whose_closed_form_constant_overflows_reports_it_and_fails(capsys
     assert payload["checks"][0]["value"] == np.inf and not payload["checks"][0]["passed"]
 
 
-def test_kernel_whose_closed_form_overflows_at_a_subnormal_time_exits_2(capsys):
-    # 1/sinh t overflowed with a numpy RuntimeWarning ahead of the refusal.
+@pytest.mark.parametrize("t", ("5e-324", "1e-200"))
+def test_kernel_whose_closed_form_overflows_at_a_subnormal_time_exits_2(capsys, t):
+    # 1/sinh t overflowed with a numpy RuntimeWarning ahead of the refusal,
+    # and both times were refused as a NaN with the advice to lower --t.
     with pytest.raises(SystemExit) as exit_info:
-        main(["kernel", "oscillator", "--t", "5e-324", "--n", "1"])
+        main(["kernel", "oscillator", "--t", t, "--n", "1"])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert "Warning" not in captured.err and "--t" in captured.err.splitlines()[-1]
+    assert "Warning" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(f"overflows at t = {float(t)!r}: raise --t")
     assert captured.out == ""
+
+
+def test_kernel_at_a_tiny_time_whose_closed_form_stays_finite_exits_0(capsys):
+    assert main(["kernel", "oscillator", "--t", "1e-150", "--n", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -766,6 +766,16 @@ def test_oscillator_kernel_constant_is_sinh():
     assert kernel.body.constant == pytest.approx(np.sinh(1.0))
 
 
+def test_the_oscillator_closed_form_refuses_a_time_whose_coth_squared_overflows():
+    # Below this t, 2·coth² t and 2·csch² t overflow in the exponential's
+    # square and their difference was NaN, refused with the advice to lower --t.
+    kernel = closed_form_kernel("oscillator", 1.0547686614863e-154)
+    assert all(np.isfinite(abs(c)) for _, c in kernel.body.items())
+    with pytest.raises(feynman_kac.ParameterError, match="divides by sinh t.*raise --t") as info:
+        closed_form_kernel("oscillator", 1.0547686614862998e-154)
+    assert info.value.name == "t"
+
+
 def test_linear_drift_kernel_long_time_limit():
     r, c = 1.0, 1.0
     kernel = closed_form_kernel("ou", 50.0, r=r, c=c)
