@@ -449,9 +449,10 @@ def test_kernel_whose_closed_form_constant_overflows_reports_it_and_fails(capsys
 
 
 @pytest.mark.parametrize("t", ("5e-324", "1e-200"))
-def test_kernel_whose_closed_form_overflows_at_a_subnormal_time_exits_2(capsys, t):
-    # 1/sinh t overflowed with a numpy RuntimeWarning ahead of the refusal,
-    # and both times were refused as a NaN with the advice to lower --t.
+def test_kernel_whose_closed_form_overflows_at_a_tiny_time_exits_2(capsys, t):
+    # At the subnormal t, 1/sinh t overflowed with a numpy RuntimeWarning
+    # ahead of the refusal; both times, which lie below the finite kernel's
+    # edge near 1.05e-154, were refused as a NaN with the advice to lower --t.
     with pytest.raises(SystemExit) as exit_info:
         main(["kernel", "oscillator", "--t", t, "--n", "1"])
     assert exit_info.value.code == 2

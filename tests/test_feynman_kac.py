@@ -766,9 +766,10 @@ def test_oscillator_kernel_constant_is_sinh():
     assert kernel.body.constant == pytest.approx(np.sinh(1.0))
 
 
-def test_the_oscillator_closed_form_refuses_a_time_whose_coth_squared_overflows():
-    # Below this t, 2·coth² t and 2·csch² t overflow in the exponential's
-    # square and their difference was NaN, refused with the advice to lower --t.
+def test_the_oscillator_closed_form_refuses_a_time_whose_csch_squared_overflows():
+    # Below this t, 2·csch² t overflows, and 2·coth² t with it, in the
+    # exponential's square; their difference was NaN, refused with the
+    # advice to lower --t.
     kernel = closed_form_kernel("oscillator", 1.0547686614863e-154)
     assert all(np.isfinite(abs(c)) for _, c in kernel.body.items())
     with pytest.raises(feynman_kac.ParameterError, match="divides by sinh t.*raise --t") as info:
