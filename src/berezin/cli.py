@@ -6,10 +6,11 @@ kernels of the worked Hamiltonians with pairwise errors), ``converge``
 ``moments`` (low-order path moments).  The extrapolate of ``converge``
 uses the actual ratio of the last two grids and the order of the tracked
 quantity.  A JSON config file (``--config``) may set any option of its
-subcommand, keyed by option name; its values are checked like flags, and
-explicit flags win.  Reports are deterministic for a fixed configuration,
-except for the timestamp field of JSON reports.  Suite exit status is
-nonzero when any checked tolerance fails.  No environment variable is read.
+subcommand, keyed by option name; a key that names no option is refused,
+its values are checked like flags, and explicit flags win.  Reports are
+deterministic for a fixed configuration, except for the timestamp field of
+JSON reports.  Suite exit status is nonzero when any checked tolerance
+fails.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     except ValueError as exc:  # -tH too large for the operator exponential
         raise ParameterError("t", _lower_the_options(exc)) from None
     closed = closed_form_kernel(name, t, **params)
-    operator = _operator_map(h)  # one slice map, and its matrix per width, for every grid
+    operator = _operator_map(h)  # one slice map for every grid
     fk_kernels = [kernel_extract(operator(_grid(t, n))) for n in grids]
 
     fk_vs_oracle = [float((k.body - oracle.body).norm()) for k in fk_kernels]
@@ -377,17 +378,25 @@ def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, d
 
 
 def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
-    """Flags for the config entries that name options of ``command``.
+    """Flags for the config entries, each of which must name an option of
+    ``command``.
 
-    Each value goes in as the text of its flag, so argparse checks its type
-    and choices as it checks a flag's; a value with no flag text (a list,
-    an object, a boolean or null) is refused.
+    A key that names no option (a deleted one, a positional argument, or
+    ``help`` or ``config`` itself) is refused, as its flag would be.  Each
+    value goes in as the text of its flag, so argparse checks its type and
+    choices as it checks a flag's; a value with no flag text (a list, an
+    object, a boolean or null) is refused.
     """
+    options = {
+        action.dest: action.option_strings[0]
+        for action in command._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
     flags = []
-    for action in command._actions:
-        if not action.option_strings or action.dest in ("help", "config") or action.dest not in config:
-            continue
-        option, value = action.option_strings[0], config[action.dest]
+    for key, value in config.items():
+        option = options.get(key)
+        if option is None:
+            command.error(f"config key {key!r} names no option")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             command.error(f"argument {option}: invalid config value: {value!r}")
         flags.append(f"{option}={value}")

@@ -337,35 +337,40 @@ def fk_evolve(h: HamiltonianSpec, f: GrassmannElement, partition: Partition) -> 
     E[f(u + xi)] = sum_k ((-dt)^k / k!) (G^k f)(u), with G = (1/2) g^{kj} d_j d_k
     the second-order part of H, its coefficients frozen at x; so no
     increment generator is ever built and the cost is linear in the slice
-    count.  Slices N ... 1 go in turn through one slice map of ``h``
-    (``_slice_map``), built for this call, which builds each distinct
-    width's images once.  A caller that evolves several inputs or grids of
-    one ``h`` shares one map through ``_evolve_map``, as ``converge`` does.
-    Generators of ``f`` outside ``h.variables`` are parameters: they ride
-    along, never mapped or differentiated.  Exact when drift and potential
-    vanish; first-order accurate in the mesh otherwise.  ``f`` must not
-    hold increment generators.
+    count.  Slices N ... 1 go in turn through the one-slice maps of
+    ``h``'s slice map (``_slice_map``), one map per distinct width, built
+    for this call by ``_evolve_map``.  A caller that evolves several inputs
+    or grids of one ``h`` shares one evolution map, and with it each
+    width's one-slice map, as ``converge`` and ``verify`` do.  Generators
+    of ``f`` outside ``h.variables`` are parameters: they ride along, never
+    mapped or differentiated.  Exact when drift and potential vanish;
+    first-order accurate in the mesh otherwise.  ``f`` must not hold
+    increment generators.
     """
     return _evolve_map(h)(f, partition)
 
 
 def _evolve_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, Partition], GrassmannElement]:
-    """``fk_evolve(h, ., .)`` as a map of (f, partition): ``h``'s slice map is
-    built once and shared, with its per-width images, by every input and
-    every partition the map takes; it lives as long as the map."""
-    step = _slice_map(h)
+    """``fk_evolve(h, ., .)`` as a map of (f, partition).  This is the one
+    place that keeps a width's one-slice map past its use: each is built on
+    the first slice of its width and reused, with its images, by every
+    later slice, input and partition the map takes, since one input's
+    images serve the next one's on the same partition.  The cache lives as
+    long as the map."""
+    slices = cache(_slice_map(h))
 
     def evolve(f: GrassmannElement, partition: Partition) -> GrassmannElement:
         _reject_increments("fk_evolve's input", f)
         for r in range(partition.steps, 0, -1):
-            f = step(f, partition.delta(r))
+            f = slices(partition.delta(r))(f)
         return f
 
     return evolve
 
 
-def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], GrassmannElement]:
-    """``step(f, dt)``, the map of one ``fk_evolve`` slice of width dt.
+def _slice_map(h: HamiltonianSpec) -> Callable[[float], Callable[[GrassmannElement], GrassmannElement]]:
+    """``width(dt)``, which builds the map of one ``fk_evolve`` slice of
+    width dt.
 
     A slice maps c X, for X a whole monomial key, to c Phi(X), summed and
     then multiplied by the weight exp(-dt v).  The image Phi(X) is
@@ -375,14 +380,14 @@ def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], Grassm
     zero noise.  u maps only the state variables, so a parameter theta in X
     stays in place; ``derivative_element`` signs each move of a derivative
     past it, and since the pairs and g_P are even,
-    Phi(theta eta_S) = theta Phi(eta_S).  g is contracted once and each
-    key's pairs are listed once; u, the weight and each X(u) and Phi(X)
-    are built once per width, on first use, and shared by every input the
-    returned map steps, at any width.  These caches live in the returned
-    map and end with it: nothing is cached on ``h`` or in the module, so
-    each caller that builds a map (one ``fk_evolve`` or ``fk_operator``
-    call, one ``converge`` report over all its grids) pays for its own
-    widths.
+    Phi(theta eta_S) = theta Phi(eta_S).  What does not depend on the
+    width, g contracted once and each key's pairs listed once, lives in
+    ``width`` and is shared by every width it builds.  What does, u, the
+    weight and each X(u) and Phi(X), lives in the one-slice map, built on
+    first use and shared by every input that map steps; it ends with that
+    map.  ``width`` keeps no map it builds: whether one is reused is the
+    caller's choice (``_evolve_map``), and nothing is cached on ``h`` or in
+    the module.
     """
     g = _second_order_table(h)
     symbols = [gen(v) for v in h.variables]
@@ -390,11 +395,10 @@ def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], Grassm
     no_noise = [ZERO] * h.n
     pairs = cache(lambda x: _derivative_pairs(x, h.variables, g))
 
-    @cache
-    def width(dt: float) -> tuple[GrassmannElement, Callable[[MultiIndex], GrassmannElement]]:
-        """The weight exp(-dt v) and the image Phi of a monomial by its key."""
+    def width(dt: float) -> Callable[[GrassmannElement], GrassmannElement]:
         u = _odd_images(dict(zip(h.variables, _euler_step(symbols, dt, drift, no_noise))))
         moved = cache(lambda r: _substitute_odd(GrassmannElement({r: 1.0}), u))  # X_R(u) by R
+        weight = grassmann_exp(-dt * h.potential)
 
         @cache
         def image(x: MultiIndex) -> GrassmannElement:
@@ -403,17 +407,16 @@ def _slice_map(h: HamiltonianSpec) -> Callable[[GrassmannElement, float], Grassm
                 out = out + ((-dt) ** size * g_p * moved(r) if size else moved(r))
             return out
 
-        return grassmann_exp(-dt * h.potential), image
+        def step(f: GrassmannElement) -> GrassmannElement:
+            total: dict[MultiIndex, complex] = {}
+            for x, c in f.items():
+                for key, value in image(x).items():
+                    total[key] = total.get(key, 0j) + c * value
+            return weight * GrassmannElement._adopt(total)
 
-    def step(f: GrassmannElement, dt: float) -> GrassmannElement:
-        weight, image = width(dt)
-        total: dict[MultiIndex, complex] = {}
-        for x, c in f.items():
-            for key, value in image(x).items():
-                total[key] = total.get(key, 0j) + c * value
-        return weight * GrassmannElement._adopt(total)
+        return step
 
-    return step
+    return width
 
 
 def _derivative_pairs(
@@ -446,43 +449,41 @@ def fk_operator(h: HamiltonianSpec, partition: Partition) -> OperatorMatrix:
     """Matrix of the ``fk_evolve`` estimate of exp(-H t) on the monomial basis,
     as the ordered product M_1 M_2 ... M_N of one-slice transfer matrices.
 
-    M_r is the matrix of ``h``'s one slice map (``_slice_map``) at width
-    dt_r, built once per distinct width from the basis, so each column of
-    M_r is that slice's ``fk_evolve`` image bit for bit.  Since
-    ``fk_evolve`` applies slice N first, the product is accumulated from the
-    right, M_r times the product of the later slices, as the evolution
-    applies them to a column.  The map is built for this call; a caller
-    that builds operators of one ``h`` on several grids shares one through
-    ``_operator_map``, as ``kernel`` does.
+    M_r is the matrix of ``h``'s one-slice map (``_slice_map``) at width
+    dt_r, built once per distinct width of the partition from the basis, so
+    each column of M_r is that slice's ``fk_evolve`` image bit for bit.
+    Since ``fk_evolve`` applies slice N first, the product is accumulated
+    from the right, M_r times the product of the later slices, as the
+    evolution applies them to a column.  The slice map is built for this
+    call; a caller that builds operators of one ``h`` on several grids
+    shares one through ``_operator_map``, as ``kernel`` does.
     """
     return _operator_map(h)(partition)
 
 
 def _operator_map(h: HamiltonianSpec) -> Callable[[Partition], OperatorMatrix]:
-    """``fk_operator(h, .)`` as a map of the partition: ``h``'s slice map and
-    its matrix per width are built once and shared by every partition the
-    map takes; they live as long as the map.
+    """``fk_operator(h, .)`` as a map of the partition.  Only ``h``'s slice
+    map, which holds no width, is shared by every partition the map takes.
 
-    Each slice's matrix is looked up once, by its own width
-    ``partition.delta(r)``, and the list is chained right to left with
-    ``ndarray.dot``, which gives ``@``'s bits at a lower cost per call on
-    these small matrices.  A one-slice partition gets a copy, so no caller
-    holds a cached matrix.
+    Each call builds one matrix per distinct width of its partition, from
+    a one-slice map that is dropped once its matrix is built, and keeps
+    nothing once it returns: the widths of one ``kernel`` call's grids do
+    not recur across grids, so a cache across partitions would only hold
+    memory.  The matrices are chained right to left with ``ndarray.dot``,
+    which gives ``@``'s bits at a lower cost per call on these small
+    matrices.
     """
-    step = _slice_map(h)
-
-    @cache
-    def width(dt: float) -> np.ndarray:
-        return operator_matrix(lambda f: step(f, dt), h.variables).matrix
+    slices = _slice_map(h)
 
     def operator(partition: Partition) -> OperatorMatrix:
-        slices = [width(partition.delta(r)) for r in range(1, partition.steps + 1)]
-        product = slices.pop().copy()
+        deltas = [partition.delta(r) for r in range(1, partition.steps + 1)]
+        matrices = {dt: operator_matrix(slices(dt), h.variables).matrix for dt in dict.fromkeys(deltas)}
+        product = matrices[deltas.pop()]
         # Warnings off, as in ``_expm``: an overflow leaves inf or NaN entries,
         # and ``kernel_extract`` refuses a NaN coefficient.
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in reversed(slices):
-                product = m.dot(product)
+            for dt in reversed(deltas):
+                product = matrices[dt].dot(product)
         return OperatorMatrix(product, h.variables)
 
     return operator

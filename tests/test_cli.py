@@ -288,12 +288,24 @@ def test_kernel_ratio_check_uses_the_actual_grid_ratio(capsys):
 
 def test_config_file_sets_any_option_of_its_subcommand(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"quantity": "flat_c0", "n": "2,4", "format": "json", "func": 0}))
+    config.write_text(json.dumps({"quantity": "flat_c0", "n": "2,4", "format": "json"}))
     code, out = run_cli(capsys, "converge", "--config", str(config), "--n", "4,8")
     assert code == 0
     payload = json.loads(out)
     assert payload["quantity"] == "flat_c0"  # a config entry for an option with a default
     assert payload["N"] == [4, 8]  # the flag wins over the config value
+
+
+@pytest.mark.parametrize("key", ("tol", "func", "hamiltonian", "config"))
+def test_config_key_that_names_no_option_is_refused(tmp_path, capsys, key):
+    # A deleted option, an internal attribute, a positional argument and the
+    # config option itself: each is refused, as its flag would be.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: "1e-6", "n": "8"}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kernel", "ou", "--config", str(config)])
+    assert exit_info.value.code == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

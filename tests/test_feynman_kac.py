@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -688,6 +690,57 @@ def test_an_operator_map_hands_out_no_cached_matrix():
     operator(one_slice).matrix[:] = 7.0
     assert operator(one_slice).matrix.tobytes() == want_one.tobytes()
     assert operator(two_slices).matrix.tobytes() == want_two.tobytes()
+
+
+def _one_slice_maps(monkeypatch) -> list:
+    """(width, weak reference to the one-slice map) for every one-slice map
+    that a slice map built from now on hands out."""
+    built = []
+    slice_map = feynman_kac._slice_map
+
+    def spy(h):
+        width = slice_map(h)
+
+        def traced(dt):
+            step = width(dt)
+            built.append((dt, weakref.ref(step)))
+            return step
+
+        return traced
+
+    monkeypatch.setattr(feynman_kac, "_slice_map", spy)
+    return built
+
+
+def test_an_operator_keeps_no_one_slice_map_once_it_returns(monkeypatch):
+    # Neither fk_operator nor an operator map that lives on keeps a width.
+    built = _one_slice_maps(monkeypatch)
+    h, partition = _wide_hamiltonian(4, 4, seed=44), Partition((0.0, 0.25, 0.5, 0.6, 1.0))
+    fk_operator(h, partition)
+    operator = feynman_kac._operator_map(h)
+    operator(partition)
+    gc.collect()
+    assert len(built) == 6 and all(ref() is None for _, ref in built)  # 3 widths, 2 calls
+
+
+def test_each_distinct_width_is_built_once_per_operator_and_once_per_evolution_map(monkeypatch):
+    # An operator map shares no width between its partitions; an evolution
+    # map shares each width among every input and partition it steps.
+    built = _one_slice_maps(monkeypatch)
+    partition = Partition((0.0, 0.3, 0.6, 0.9))
+    widths = [partition.delta(r) for r in range(1, partition.steps + 1)]
+    distinct = list(dict.fromkeys(widths))
+    assert len(distinct) < len(widths)
+    h = example_hamiltonian("ou")
+    operator = feynman_kac._operator_map(h)
+    for calls in (1, 2):
+        operator(partition)
+        assert [dt for dt, _ in built] == distinct * calls
+    built.clear()
+    evolve = feynman_kac._evolve_map(h)
+    for f in basis_elements(h.variables) * 2:
+        evolve(f, partition)
+    assert [dt for dt, _ in built] == distinct[::-1]
 
 
 def test_operator_contracts_the_second_order_coefficients_once(monkeypatch):
