@@ -658,18 +658,12 @@ def substitute(
 def _odd_images(
     mapping: Mapping[GeneratorId, GrassmannElement]
 ) -> dict[MultiIndex, GrassmannElement]:
-    """The ``_image_bits`` of a substitution map, each image checked to be odd (or zero)."""
+    """The images of a substitution map by generator bit, as ``_substitute_odd``
+    takes them, each checked to be odd (or zero)."""
     for g, value in mapping.items():
         if not value.has_parity(Parity.ODD):
             raise ValueError(f"substitution image for {g} must be odd, got {value.parity().value}")
-    return _image_bits(mapping.items())
-
-
-def _image_bits(
-    pairs: Iterable[tuple[GeneratorId, GrassmannElement]]
-) -> dict[MultiIndex, GrassmannElement]:
-    """The images of a substitution map by generator bit, as ``_substitute_odd`` takes them."""
-    return {_bit_of(g): image for g, image in pairs}
+    return {_bit_of(g): image for g, image in mapping.items()}
 
 
 def _substitute_odd(a: GrassmannElement, images: Mapping[MultiIndex, GrassmannElement]) -> GrassmannElement:

@@ -8,8 +8,9 @@ exact finite-grid quantity, and the convergence report is the caller's job
 
 SDEs are solved by ``solve_sde``, one forward Euler sweep: the
 left-endpoint scheme is explicit, so node r follows from node r-1 and the
-sweep is the unique grid solution; ``ItoProcess.from_sde`` keeps the
-drift and diffusion values the sweep evaluates.  ``picard_solve``
+sweep is the unique grid solution.  It returns the ``ItoProcess`` of the
+sweep, which keeps the drift and diffusion values each step evaluated, so
+the Ito residuals read them rather than evaluate them again.  ``picard_solve``
 iterates the same step map and stays for the checks that are about the
 iteration itself (uniqueness from two seeds, moment-gap diagnostics,
 stationarity).  The step itself, ``_euler_step``, also gives
@@ -20,7 +21,7 @@ map, whose Gaussian noise it integrates out in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     Family,
@@ -30,7 +31,6 @@ from .algebra import (
     ZERO,
     _add_into,
     _distance,
-    _image_bits,
     _odd_images,
     _paired_product,
     _substitute_odd,
@@ -125,6 +125,14 @@ class AdaptedMatrix:
     partition: Partition
     values: tuple[tuple[tuple[GrassmannElement, ...], ...], ...]
 
+    def __post_init__(self) -> None:
+        if len(self.values) != self.partition.steps + 1:
+            raise ValueError("one matrix per partition node is required")
+        if len({len(v) for v in self.values}) != 1:
+            raise ValueError("all nodes must carry the same number of rows")
+        if any(len(row) != self.space.m for v in self.values for row in v):
+            raise ValueError(f"every row must have the Brownian dimension {self.space.m}")
+
     @property
     def rows(self) -> int:
         return len(self.values[0])
@@ -213,7 +221,9 @@ class SdeSpec:
     """Coefficients of d(zeta_i) = dt * A_i(zeta) + dbeta^a * C_{i,a}(zeta).
 
     Drift components are odd functions, diffusion entries even, and the
-    start values odd, so every solution component keeps odd parity.
+    start values odd, so every solution component keeps odd parity.  All
+    coefficients are functions of the one variable tuple of ``drift[0]``,
+    one variable per component.
     """
 
     drift: tuple[SupersmoothFunction, ...]
@@ -227,6 +237,11 @@ class SdeSpec:
         widths = {len(row) for row in self.diffusion}
         if len(widths) != 1:
             raise ValueError("diffusion rows must have equal width")
+        variables = self.drift[0].variables
+        if len(variables) != n:
+            raise ValueError(f"the coefficients need {n} variables, got {len(variables)}")
+        if any(f.variables != variables for f in (*self.drift, *(c for row in self.diffusion for c in row))):
+            raise ValueError("drift and diffusion must share one variable tuple")
         if not all(a.body.has_parity(Parity.ODD) for a in self.drift):
             raise ValueError("drift components must be odd")
         if not all(cfun.body.has_parity(Parity.EVEN) for row in self.diffusion for cfun in row):
@@ -255,16 +270,15 @@ Node = Sequence[GrassmannElement]  # the components of a process at one node
 
 
 def _coefficients_at(spec: SdeSpec, node: Node) -> tuple[Node, Sequence[Node]]:
-    """Drift and diffusion values at one node, whose components are checked
-    odd once; coefficients over the drift's variables share one image map."""
+    """Drift and diffusion values at one node, whose width is checked and
+    whose components are checked odd once: every coefficient is substituted
+    through the one image map of the spec's variables."""
     variables = spec.drift[0].variables
+    if len(node) != len(variables):
+        raise ValueError(f"expected {len(variables)} values, got {len(node)}")
     images = _odd_images(dict(zip(variables, node)))
 
     def at(f: SupersmoothFunction) -> GrassmannElement:
-        if len(f.variables) != len(node):
-            raise ValueError(f"expected {len(f.variables)} values, got {len(node)}")
-        if f.variables != variables:
-            return _substitute_odd(f.body, _image_bits(zip(f.variables, node)))
         return _substitute_odd(f.body, images)
 
     return tuple(at(a) for a in spec.drift), tuple(tuple(at(c) for c in row) for row in spec.diffusion)
@@ -288,30 +302,24 @@ def _euler_node(
     return _euler_step(base, partition.delta(r), drift_vals, noise)
 
 
-def _sweep(spec: SdeSpec, space: WienerSpace, partition: Partition) -> Iterator[tuple[Node, tuple[Node, Sequence[Node]]]]:
-    """The forward Euler sweep: node r for r = 1 ... N, each with the drift
-    and diffusion values at node r-1 that its step evaluated.  A caller
-    keeps what it needs; the sweep holds only the current node."""
-    if spec.brownian_dimension != space.m:
-        raise ValueError("diffusion width must match the Brownian dimension")
-    node = tuple(spec.initial)
-    for r in range(1, partition.steps + 1):
-        coefficients = _coefficients_at(spec, node)
-        node = _euler_node(space, partition, r, node, coefficients)
-        yield node, coefficients
-
-
-def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> AdaptedProcess:
+def solve_sde(spec: SdeSpec, space: WienerSpace, partition: Partition) -> ItoProcess:
     """The grid solution of the SDE by one forward Euler sweep.
 
     Node 0 is ``spec.initial`` and node r is node r-1 advanced by the
     left-endpoint step, whose coefficients depend on node r-1 only.  This
     is the exact fixed point of the integral map that ``picard_solve``
-    iterates.
+    iterates.  The returned process keeps, for slice r, the drift and
+    diffusion values the step evaluated at node r-1.
     """
-    nodes = [tuple(spec.initial)]
-    nodes += (node for node, _ in _sweep(spec, space, partition))
-    return AdaptedProcess(space, partition, tuple(nodes))
+    if spec.brownian_dimension != space.m:
+        raise ValueError("diffusion width must match the Brownian dimension")
+    nodes, drift, diffusion = [tuple(spec.initial)], [], []
+    for r in range(1, partition.steps + 1):
+        coefficients = _coefficients_at(spec, nodes[-1])
+        nodes.append(_euler_node(space, partition, r, nodes[-1], coefficients))
+        drift.append(coefficients[0])
+        diffusion.append(coefficients[1])
+    return ItoProcess(space, partition, tuple(nodes), tuple(drift), tuple(diffusion))
 
 
 def picard_solve(
@@ -445,49 +453,27 @@ class MixedPolynomial:
 
 
 @dataclass(frozen=True)
-class ItoProcess:
-    """A stochastic-integral bundle: values plus integrand snapshots.
+class ItoProcess(AdaptedProcess):
+    """An adapted process with its integrand snapshots.
 
     ``values[r]`` are the k component values at node r; ``drift[r]`` and
     ``diffusion[r]`` are the left-endpoint integrand values used on slice
-    r+1.  The first p components are even, the rest odd.
+    r+1.  The first ``even_count`` components are even, the rest odd.
     """
 
-    space: WienerSpace
-    partition: Partition
-    even_count: int
-    values: tuple[tuple[GrassmannElement, ...], ...]
     drift: tuple[tuple[GrassmannElement, ...], ...]
     diffusion: tuple[tuple[tuple[GrassmannElement, ...], ...], ...]
+    even_count: int = 0
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values[0])
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.drift) != self.partition.steps or len(self.diffusion) != self.partition.steps:
+            raise ValueError("one drift and one diffusion value per slice are required")
 
     def parity_signs(self) -> tuple[float, ...]:
         return tuple(
             1.0 if i < self.even_count else -1.0 for i in range(self.dimension)
         )
-
-    @classmethod
-    def from_sde(cls, spec: SdeSpec, space: WienerSpace, partition: Partition) -> "ItoProcess":
-        """The process of ``solve_sde(spec, space, partition)`` with the drift
-        and diffusion values its sweep evaluated at nodes 0 ... N-1."""
-        nodes, drift, diffusion = [tuple(spec.initial)], [], []
-        for node, (a, c) in _sweep(spec, space, partition):
-            nodes.append(node)
-            drift.append(a)
-            diffusion.append(c)
-        return cls(space, partition, 0, tuple(nodes), tuple(drift), tuple(diffusion))
-
-    @classmethod
-    def from_sde_solution(
-        cls, spec: SdeSpec, space: WienerSpace, partition: Partition, solution: AdaptedProcess
-    ) -> "ItoProcess":
-        """The process of a given solution of ``spec``, its drift and diffusion
-        evaluated again at nodes 0 ... N-1."""
-        drift, diffusion = zip(*(_coefficients_at(spec, solution.values[r]) for r in range(partition.steps)))
-        return cls(space, partition, 0, solution.values, drift, diffusion)
 
     @classmethod
     def deterministic(
@@ -506,24 +492,20 @@ class ItoProcess:
         )
         zeros = tuple(ZERO for _ in range(space.m))
         diffusion = tuple((zeros,) for _ in range(partition.steps))
-        return cls(space, partition, 1, values, drift, diffusion)
+        return cls(space, partition, values, drift, diffusion, 1)
 
     @staticmethod
     def concat(first: "ItoProcess", second: "ItoProcess") -> "ItoProcess":
-        """Join components, keeping all even components ahead of odd ones."""
+        """Join components, keeping all even components ahead of odd ones.
+        Both processes must live on one grid of one Brownian dimension."""
         if second.even_count:
             raise ValueError("append even components on the left")
+        if first.space.m != second.space.m or first.partition != second.partition:
+            raise ValueError("joined processes must share the Brownian dimension and the partition")
         values = tuple(a + b for a, b in zip(first.values, second.values))
         drift = tuple(a + b for a, b in zip(first.drift, second.drift))
         diffusion = tuple(a + b for a, b in zip(first.diffusion, second.diffusion))
-        return ItoProcess(
-            first.space,
-            first.partition,
-            first.even_count,
-            values,
-            drift,
-            diffusion,
-        )
+        return ItoProcess(first.space, first.partition, values, drift, diffusion, first.even_count)
 
 
 def ito_formula_residual(f: MixedPolynomial, x: ItoProcess) -> float:
@@ -595,9 +577,9 @@ def integration_by_parts_residual(x: ItoProcess) -> float:
     trimmed = ItoProcess(
         x.space,
         x.partition,
-        x.even_count if x.even_count < 2 else 2,
         tuple(v[:k] for v in x.values),
         tuple(d[:k] for d in x.drift),
         tuple(c[:k] for c in x.diffusion),
+        x.even_count if x.even_count < 2 else 2,
     )
     return ito_formula_residual(f, trimmed)

@@ -529,7 +529,7 @@ def sde_suite() -> list[Check]:
     grids = (8, 16, 32)
     for steps in grids:
         part = Partition.uniform(1.0, steps)
-        ou_proc = ItoProcess.from_sde(spec, space, part)
+        ou_proc = solve_sde(spec, space, part)
         deterministic = ItoProcess.deterministic(
             space, part, lambda t: np.exp(rate * t), lambda t: rate * np.exp(rate * t)
         )

@@ -183,10 +183,10 @@ class WienerSpace:
         product dbeta^a C_a is ``algebra._generator_product``, ``*`` in
         closed form.  The products are summed in place in the order of
         ``ZERO + d1 C1 + d2 C2 + ...``, so the result equals that chain bit
-        for bit.
+        for bit.  There must be one coefficient per increment.
         """
         data: dict[MultiIndex, complex] = {}
-        for d, c in zip(increments, coefficients):
+        for d, c in zip(increments, coefficients, strict=True):
             terms = d._terms
             b = next(iter(terms)) if len(terms) == 1 else 0
             if not b or b & (b - 1):
@@ -474,12 +474,12 @@ class RandomVariable:
     def dimension(self) -> int:
         return len(self.components)
 
-    def expect_monomial(self, indices: Sequence[int]):
+    def expect_monomial(self, indices: Sequence[int]) -> GrassmannElement:
         """Expectation of the ordered product of the 1-based components."""
         x = ONE
         for i in indices:
             x = x * self.components[i - 1]
-        return self.motion.expect(x)
+        return self.motion.expect_element(x)
 
 
 def mu_distance(x: RandomVariable, y: RandomVariable) -> float:
@@ -487,7 +487,8 @@ def mu_distance(x: RandomVariable, y: RandomVariable) -> float:
 
     The test monomials are every squarefree monomial in the components (for
     odd components repeated factors vanish identically).  A gap of zero
-    means the two variables are indistinguishable through those moments;
+    means the two variables are indistinguishable through those moments.
+    Each gap is the norm of the difference of the two expectations, so
     parameters left in an expectation are compared in norm.
     """
     if x.dimension != y.dimension:
@@ -495,14 +496,7 @@ def mu_distance(x: RandomVariable, y: RandomVariable) -> float:
     k = x.dimension
     worst = 0.0
     for mono in (c for size in range(1, k + 1) for c in combinations(range(1, k + 1), size)):
-        ex = x.expect_monomial(mono)
-        ey = y.expect_monomial(mono)
-        if isinstance(ex, GrassmannElement) or isinstance(ey, GrassmannElement):
-            ex = ex if isinstance(ex, GrassmannElement) else GrassmannElement.from_scalar(ex)
-            ey = ey if isinstance(ey, GrassmannElement) else GrassmannElement.from_scalar(ey)
-            worst = max(worst, (ex - ey).norm())
-        else:
-            worst = max(worst, abs(ex - ey))
+        worst = max(worst, (x.expect_monomial(mono) - y.expect_monomial(mono)).norm())
     return worst
 
 

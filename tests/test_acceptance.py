@@ -263,8 +263,7 @@ def test_criterion_4_sde_suite():
     growth_times_first = MixedPolynomial(1, 2, {((1,), (1,)): 1.0})
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = solve_sde(spec, SPACE, partition)
-        stochastic_part = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
+        stochastic_part = solve_sde(spec, SPACE, partition)
         deterministic = ItoProcess.deterministic(
             SPACE, partition, lambda t: np.exp(t), lambda t: np.exp(t)
         )

@@ -32,7 +32,7 @@ from berezin.algebra import (
     _add_into,
     _canonical_bits,
     _distance,
-    _image_bits,
+    _odd_images,
     _substitute_odd,
 )
 from berezin.verify import random_element
@@ -674,7 +674,7 @@ def substitution_cases(draw):
 @given(substitution_cases())
 def test_one_generator_and_unmapped_terms_sum_as_the_product_chain(case):
     a, images = case
-    bits = _image_bits(images.items())
+    bits = _odd_images(images)
     got, want = _substitute_odd(a, bits), _substitute_chain(a, bits)
     assert repr(list(got.items())) == repr(list(want.items()))  # key order and signs of zero too
 

@@ -302,8 +302,7 @@ def test_the_ito_residuals_are_those_of_the_full_products(system, partition):
         spec, space = _four_noise_spec(), WienerSpace(4)
     else:
         spec, space = sde_spec(example_hamiltonian(system), START), WienerSpace(2)
-    solution = solve_sde(spec, space, partition)
-    process = ItoProcess.from_sde_solution(spec, space, partition, solution)
+    process = solve_sde(spec, space, partition)
     growth = ItoProcess.deterministic(space, partition, lambda t: np.exp(t), lambda t: np.exp(t))
     joined = ItoProcess.concat(growth, process)
     cases = (

@@ -11,6 +11,7 @@ from berezin.stochastic import (
     ItoProcess,
     MixedPolynomial,
     SdeSpec,
+    _coefficients_at,
     brownian_process,
     integration_by_parts_residual,
     ito_formula_residual,
@@ -54,28 +55,50 @@ def test_sde_spec_parity_validation():
         ou_spec(start=(scalar(1.0), ZERO))
 
 
+def test_a_spec_over_two_variable_tuples_is_rejected():
+    other = (aux(3), aux(4))
+    drift = (SupersmoothFunction(-gen(SV[0]), SV), SupersmoothFunction(-gen(other[1]), other))
+    diffusion = tuple(
+        tuple(SupersmoothFunction(scalar(1.0) if i == a else ZERO, SV) for a in range(2)) for i in range(2)
+    )
+    with pytest.raises(ValueError, match="one variable tuple"):
+        SdeSpec(drift, diffusion, XI)
+    mixed_diffusion = ((SupersmoothFunction(scalar(1.0), SV), SupersmoothFunction(ZERO, other)),) + diffusion[1:]
+    with pytest.raises(ValueError, match="one variable tuple"):
+        SdeSpec(tuple(SupersmoothFunction(-gen(v), SV) for v in SV), mixed_diffusion, XI)
+
+
+def test_a_spec_needs_one_variable_per_component():
+    three = (*SV, aux(3))
+    drift = tuple(SupersmoothFunction(-gen(v), three) for v in SV)
+    diffusion = tuple(tuple(SupersmoothFunction(scalar(1.0), three) for _ in range(2)) for _ in range(2))
+    with pytest.raises(ValueError, match="need 2 variables, got 3"):
+        SdeSpec(drift, diffusion, XI)
+
+
 def test_a_node_that_is_not_odd_is_rejected():
     partition = Partition.uniform(1.0, 2)
     even_guess = [(scalar(1.0), ZERO)] * (partition.steps + 1)
     with pytest.raises(ValueError):
         picard_solve(ou_spec(), SPACE, partition, initial_guess=even_guess)
-    solution = solve_sde(ou_spec(), SPACE, partition)
-    with pytest.raises(ValueError):
-        ItoProcess.from_sde_solution(
-            ou_spec(), SPACE, partition, AdaptedProcess(SPACE, partition, tuple(even_guess))
-        )
-    assert ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution).values == solution.values
+
+
+def test_a_node_of_the_wrong_width_is_rejected():
+    partition = Partition.uniform(1.0, 2)
+    wide_guess = [XI + (gen(aux(3)),)] * (partition.steps + 1)
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        picard_solve(ou_spec(), SPACE, partition, initial_guess=wide_guess)
 
 
 @pytest.mark.parametrize("name", ["ou", "quartic"])  # quartic: a state-dependent diffusion
-def test_the_process_of_one_sweep_is_the_process_of_its_solution(name):
+def test_the_sweep_keeps_the_coefficients_of_its_nodes(name):
     spec = sde_spec(example_hamiltonian(name), XI)
     for partition in (Partition.uniform(1.0, 6), Partition((0.0, 0.1, 0.5, 0.6, 1.3))):
-        swept = ItoProcess.from_sde(spec, SPACE, partition)
-        given_solution = ItoProcess.from_sde_solution(spec, SPACE, partition, solve_sde(spec, SPACE, partition))
-        for field in ("values", "drift", "diffusion"):
-            assert _items(getattr(swept, field)) == _items(getattr(given_solution, field)), field
-        assert swept.even_count == given_solution.even_count == 0
+        swept = solve_sde(spec, SPACE, partition)
+        assert isinstance(swept, AdaptedProcess) and swept.even_count == 0
+        again = [_coefficients_at(spec, swept.values[r]) for r in range(partition.steps)]
+        assert _items(swept.drift) == _items(tuple(a for a, _ in again))
+        assert _items(swept.diffusion) == _items(tuple(c for _, c in again))
 
 
 def _items(nested) -> str:
@@ -178,8 +201,7 @@ def test_ou_second_moment_refines_to_the_closed_value():
 def test_linear_functions_of_stochastic_integrals_telescope_exactly():
     partition = Partition.uniform(1.0, 4)
     spec = ou_spec()
-    solution = solve_sde(spec, SPACE, partition)
-    process = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
+    process = solve_sde(spec, SPACE, partition)
     linear = MixedPolynomial(0, 2, {((), (1,)): 1.0, ((), (2,)): -2.0})
     assert ito_formula_residual(linear, process) <= 1e-12
 
@@ -187,8 +209,7 @@ def test_linear_functions_of_stochastic_integrals_telescope_exactly():
 def test_product_rule_residual_vanishes_for_constant_integrands():
     partition = Partition.uniform(1.0, 4)
     spec = zero_drift_spec()
-    solution = solve_sde(spec, SPACE, partition)
-    process = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
+    process = solve_sde(spec, SPACE, partition)
     assert integration_by_parts_residual(process) <= 1e-12
 
 
@@ -196,8 +217,7 @@ def test_product_rule_residual_halves_for_the_linear_drift():
     errors = []
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = solve_sde(ou_spec(), SPACE, partition)
-        process = ItoProcess.from_sde_solution(ou_spec(), SPACE, partition, solution)
+        process = solve_sde(ou_spec(), SPACE, partition)
         errors.append(integration_by_parts_residual(process))
     assert errors[0] > 1e-3  # a genuine first-order gap, not noise
     assert refinement((8, 16, 32), 1, errors=errors).deviation <= 0.3
@@ -225,8 +245,7 @@ def test_change_of_variables_residual_halves_with_a_deterministic_factor():
     errors = []
     for steps in (8, 16, 32):
         partition = Partition.uniform(1.0, steps)
-        solution = solve_sde(spec, SPACE, partition)
-        stochastic_part = ItoProcess.from_sde_solution(spec, SPACE, partition, solution)
+        stochastic_part = solve_sde(spec, SPACE, partition)
         deterministic = ItoProcess.deterministic(
             SPACE, partition, lambda t: np.exp(rate * t), lambda t: rate * np.exp(rate * t)
         )
@@ -234,6 +253,25 @@ def test_change_of_variables_residual_halves_with_a_deterministic_factor():
         errors.append(ito_formula_residual(growth_times_first, joined))
     assert errors[0] > 1e-3
     assert refinement((8, 16, 32), 1, errors=errors).deviation <= 0.3
+
+
+def test_processes_on_different_grids_are_not_joined():
+    eight = Partition.uniform(1.0, 8)
+    stochastic_part = solve_sde(ou_spec(), SPACE, eight)
+
+    def growth(space, partition):
+        return ItoProcess.deterministic(space, partition, np.exp, np.exp)
+
+    uneven = Partition(tuple(np.sqrt(r / 8) for r in range(9)))
+    for deterministic in (
+        growth(SPACE, Partition.uniform(1.0, 4)),  # fewer slices: zip would cut the process short
+        growth(SPACE, uneven),  # as many slices, other widths
+        growth(WienerSpace(4), eight),  # one grid, another Brownian dimension
+    ):
+        with pytest.raises(ValueError, match="share the Brownian dimension and the partition"):
+            ItoProcess.concat(deterministic, stochastic_part)
+    # another space of the same dimension and an equal partition: spaces are not compared by identity
+    assert ItoProcess.concat(growth(WienerSpace(2), Partition.uniform(1.0, 8)), stochastic_part).dimension == 3
 
 
 def test_state_dependent_quadratic_diffusion_is_accepted():

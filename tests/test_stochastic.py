@@ -6,6 +6,7 @@ from berezin.algebra import ONE, Parity, ZERO, aux, gen, scalar
 from berezin.stochastic import (
     AdaptedMatrix,
     AdaptedProcess,
+    ItoProcess,
     MixedPolynomial,
     brownian_process,
     isometry_residual,
@@ -19,6 +20,41 @@ SPACE = WienerSpace(2)
 
 def _constant_process(partition, value):
     return AdaptedProcess(SPACE, partition, tuple((value,) for _ in range(partition.steps + 1)))
+
+
+def test_an_integrand_of_the_wrong_shape_is_rejected():
+    partition = Partition.uniform(1.0, 4)
+    identity = ((ONE, ZERO), (ZERO, ONE))
+    with pytest.raises(ValueError, match="one matrix per partition node"):
+        AdaptedMatrix(SPACE, partition, (identity,) * partition.steps)
+    with pytest.raises(ValueError, match="same number of rows"):
+        AdaptedMatrix(SPACE, partition, (identity,) * partition.steps + (identity[:1],))
+    # a k x 1 integrand for m = 2 would integrate against dbeta^1 only
+    with pytest.raises(ValueError, match="Brownian dimension 2"):
+        AdaptedMatrix.constant(SPACE, partition, [[1.0], [1.0]])
+
+
+def test_a_noise_row_of_the_wrong_width_is_rejected():
+    increments = SPACE.increment_elements(1)
+    with pytest.raises(ValueError):
+        SPACE.noise(increments, (ONE,))
+    with pytest.raises(ValueError):
+        SPACE.noise(increments, (ONE, ONE, ONE))
+    assert (SPACE.noise(increments, (ONE, ONE)) - increments[0] - increments[1]).is_zero()
+
+
+def test_an_ito_process_needs_one_coefficient_value_per_slice():
+    partition = Partition.uniform(1.0, 3)
+    values = tuple((ZERO,) for _ in range(partition.steps + 1))
+    drift = tuple((ZERO,) for _ in range(partition.steps))
+    diffusion = tuple(((ZERO, ZERO),) for _ in range(partition.steps))
+    assert ItoProcess(SPACE, partition, values, drift, diffusion).dimension == 1
+    with pytest.raises(ValueError, match="one drift and one diffusion value per slice"):
+        ItoProcess(SPACE, partition, values, drift + drift[:1], diffusion)
+    with pytest.raises(ValueError, match="one drift and one diffusion value per slice"):
+        ItoProcess(SPACE, partition, values, drift, diffusion[1:])
+    with pytest.raises(ValueError, match="one value tuple per partition node"):
+        ItoProcess(SPACE, partition, values[1:], drift, diffusion)
 
 
 def test_time_integral_of_one_returns_the_node_times():
